@@ -5,7 +5,9 @@
 //! micro-numbers ship machine-readable via `exp -- substrate`
 //! (BENCH_substrate.json).
 
+use c_cubing::Algorithm;
 use ccube_core::closedness::ClosedInfo;
+use ccube_core::measure::CountOnly;
 use ccube_core::partition::Partitioner;
 use ccube_core::sink::CountingSink;
 use ccube_core::table::ViewArena;
@@ -122,15 +124,15 @@ fn iceberg_hosts(c: &mut Criterion) {
     let mut group = c.benchmark_group("iceberg_hosts_20k_d6_c20_m4");
     group.sample_size(10);
     for algo in [
-        ccube_bench::Algo::Buc,
-        ccube_bench::Algo::Mm,
-        ccube_bench::Algo::Star,
-        ccube_bench::Algo::StarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
             b.iter(|| {
                 let mut sink = CountingSink::default();
-                algo.run(&table, 4, &mut sink);
+                algo.run_bound_with(&table, 0, 4, &CountOnly, &mut sink);
                 sink.cells
             })
         });
@@ -146,19 +148,19 @@ fn acceptance_workload(c: &mut Criterion) {
     let mut group = c.benchmark_group("seq_20k_d8_c100_zipf15_m8");
     group.sample_size(10);
     for algo in [
-        ccube_bench::Algo::QcDfs,
-        ccube_bench::Algo::CcMm,
-        ccube_bench::Algo::CcStar,
-        ccube_bench::Algo::CcStarArray,
-        ccube_bench::Algo::Buc,
-        ccube_bench::Algo::Mm,
-        ccube_bench::Algo::Star,
-        ccube_bench::Algo::StarArray,
+        Algorithm::QcDfs,
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
             b.iter(|| {
                 let mut sink = CountingSink::default();
-                algo.run(&table, 8, &mut sink);
+                algo.run_bound_with(&table, 0, 8, &CountOnly, &mut sink);
                 sink.cells
             })
         });

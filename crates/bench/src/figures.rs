@@ -6,7 +6,8 @@
 //! EXPERIMENTS.md for an archived run with commentary.
 
 use crate::report::{mb, secs, Figure};
-use crate::{measure_size, measure_threads, Algo};
+use crate::{measure_size, measure_threads};
+use c_cubing::Algorithm;
 use ccube_core::order::DimOrdering;
 use ccube_core::sink::CollectSink;
 use ccube_core::Table;
@@ -42,7 +43,7 @@ impl ExpOptions {
         ((paper as f64 * self.scale) as usize).max(1000)
     }
 
-    fn measure(&self, algo: Algo, table: &Table, min_sup: u64) -> crate::Measurement {
+    fn measure(&self, algo: Algorithm, table: &Table, min_sup: u64) -> crate::Measurement {
         measure_threads(algo, table, min_sup, self.threads)
     }
 }
@@ -571,12 +572,16 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
     }
 }
 
-const FULL_CLOSED: [Algo; 4] = [Algo::CcMm, Algo::CcStar, Algo::CcStarArray, Algo::QcDfs];
-const CLOSED_ICEBERG: [Algo; 3] = [Algo::CcMm, Algo::CcStar, Algo::CcStarArray];
+const FULL_CLOSED: [Algorithm; 4] = [
+    Algorithm::CCubingMm,
+    Algorithm::CCubingStar,
+    Algorithm::CCubingStarArray,
+    Algorithm::QcDfs,
+];
 
 fn timing_rows(
     opt: &ExpOptions,
-    series: &[Algo],
+    series: &[Algorithm],
     points: impl Iterator<Item = (String, Table, u64)>,
 ) -> Vec<(String, Vec<String>)> {
     points
@@ -590,7 +595,7 @@ fn timing_rows(
         .collect()
 }
 
-fn names(series: &[Algo]) -> Vec<String> {
+fn names(series: &[Algorithm]) -> Vec<String> {
     series.iter().map(|a| a.name().to_string()).collect()
 }
 
@@ -766,7 +771,7 @@ fn fig7(opt: &ExpOptions) -> Figure {
 
 /// Fig 8: closed iceberg vs. min_sup. T=1000K, C=100, S=0, D=8.
 fn fig8(opt: &ExpOptions) -> Figure {
-    let series = CLOSED_ICEBERG;
+    let series = Algorithm::C_CUBING;
     let table = SyntheticSpec::uniform(opt.tuples(1_000_000), 8, 100, 0.0, opt.seed).generate();
     let rows = timing_rows(
         opt,
@@ -792,7 +797,7 @@ fn fig8(opt: &ExpOptions) -> Figure {
 
 /// Fig 9: closed iceberg vs. skew. T=1000K, D=8, C=100, M=10.
 fn fig9(opt: &ExpOptions) -> Figure {
-    let series = CLOSED_ICEBERG;
+    let series = Algorithm::C_CUBING;
     let t = opt.tuples(1_000_000);
     let rows = timing_rows(
         opt,
@@ -817,7 +822,7 @@ fn fig9(opt: &ExpOptions) -> Figure {
 
 /// Fig 10: closed iceberg vs. cardinality. T=1000K, D=8, S=1, M=10.
 fn fig10(opt: &ExpOptions) -> Figure {
-    let series = CLOSED_ICEBERG;
+    let series = Algorithm::C_CUBING;
     let t = opt.tuples(1_000_000);
     let rows = timing_rows(
         opt,
@@ -842,7 +847,7 @@ fn fig10(opt: &ExpOptions) -> Figure {
 
 /// Fig 11: closed iceberg vs. min_sup on the weather surrogate, D=8.
 fn fig11(opt: &ExpOptions) -> Figure {
-    let series = CLOSED_ICEBERG;
+    let series = Algorithm::C_CUBING;
     let table = WeatherSpec::new(opt.tuples(1_002_752), opt.seed).generate_dims(8);
     let rows = timing_rows(
         opt,
@@ -881,7 +886,7 @@ fn dependence_table(opt: &ExpOptions, r: f64, min_sup: u64) -> (Table, u64) {
 
 /// Fig 12: computation vs. data dependence R. T=400K, D=8, C=20, S=0, M=16.
 fn fig12(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcMm, Algo::CcStar];
+    let series = [Algorithm::CCubingMm, Algorithm::CCubingStar];
     let rows = timing_rows(
         opt,
         &series,
@@ -911,8 +916,8 @@ fn fig13(opt: &ExpOptions) -> Figure {
         .into_iter()
         .map(|r| {
             let (table, m) = dependence_table(opt, r, 16);
-            let (closed_mb, _) = measure_size(Algo::CcMm, &table, m);
-            let (iceberg_mb, _) = measure_size(Algo::Mm, &table, m);
+            let (closed_mb, _) = measure_size(Algorithm::CCubingMm, &table, m);
+            let (iceberg_mb, _) = measure_size(Algorithm::Mm, &table, m);
             (format!("{r}"), vec![mb(closed_mb), mb(iceberg_mb)])
         })
         .collect();
@@ -937,8 +942,8 @@ fn fig14(opt: &ExpOptions) -> Figure {
     let rows = [1u64, 4, 16, 64]
         .into_iter()
         .map(|m| {
-            let (closed_mb, _) = measure_size(Algo::CcMm, &table, m);
-            let (iceberg_mb, _) = measure_size(Algo::Mm, &table, m);
+            let (closed_mb, _) = measure_size(Algorithm::CCubingMm, &table, m);
+            let (iceberg_mb, _) = measure_size(Algorithm::Mm, &table, m);
             (m.to_string(), vec![mb(closed_mb), mb(iceberg_mb)])
         })
         .collect();
@@ -967,8 +972,8 @@ fn fig15(opt: &ExpOptions) -> Figure {
                 .iter()
                 .map(|&m| {
                     let (table, _) = dependence_table(opt, r, m);
-                    let mm = opt.measure(Algo::CcMm, &table, m).seconds;
-                    let star = opt.measure(Algo::CcStar, &table, m).seconds;
+                    let mm = opt.measure(Algorithm::CCubingMm, &table, m).seconds;
+                    let star = opt.measure(Algorithm::CCubingStar, &table, m).seconds;
                     if mm <= star {
                         format!("CC(MM) ({:.0}%)", 100.0 * mm / star)
                     } else {
@@ -997,7 +1002,7 @@ fn fig15(opt: &ExpOptions) -> Figure {
 
 /// Fig 16: overhead of closed checking — CC(MM) vs MM on weather, D=8.
 fn fig16(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcMm, Algo::Mm];
+    let series = [Algorithm::CCubingMm, Algorithm::Mm];
     let table = WeatherSpec::new(opt.tuples(1_002_752), opt.seed).generate_dims(8);
     let rows = timing_rows(
         opt,
@@ -1024,7 +1029,7 @@ fn fig16(opt: &ExpOptions) -> Figure {
 
 /// Fig 17: benefit of closed pruning — CC(StarArray) vs StarArray on weather.
 fn fig17(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcStarArray, Algo::StarArray];
+    let series = [Algorithm::CCubingStarArray, Algorithm::StarArray];
     let table = WeatherSpec::new(opt.tuples(1_002_752), opt.seed).generate_dims(8);
     let rows = timing_rows(
         opt,
@@ -1071,7 +1076,7 @@ fn fig18(opt: &ExpOptions) -> Figure {
                 .iter()
                 .map(|&ord| {
                     let (table, _) = ord.apply(&base);
-                    secs(opt.measure(Algo::CcStarArray, &table, m).seconds)
+                    secs(opt.measure(Algorithm::CCubingStarArray, &table, m).seconds)
                 })
                 .collect();
             (m.to_string(), cells)
@@ -1150,13 +1155,13 @@ fn parallel_speedup(opt: &ExpOptions) -> Figure {
     let min_sup = 8;
     let skews = [1.0f64, 1.5, 2.0];
     let algos = [
-        Algo::CcMm,
-        Algo::CcStar,
-        Algo::CcStarArray,
-        Algo::Buc,
-        Algo::Mm,
-        Algo::Star,
-        Algo::StarArray,
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ];
     let thread_counts = [1usize, 2, 4, 8];
 
@@ -1471,14 +1476,14 @@ fn lifecycle_experiment(opt: &ExpOptions) -> Figure {
             let sample = {
                 let mut sink = CountingSink::default();
                 let start = Instant::now();
-                algo.run(&table, min_sup, &mut sink);
+                algo.run_bound_with(&table, 0, min_sup, &CountOnly, &mut sink);
                 start.elapsed().as_secs_f64()
             };
             let sample_tokened = {
                 let _ambient = lifecycle::install(&token);
                 let mut sink = CountingSink::default();
                 let start = Instant::now();
-                algo.run(&table, min_sup, &mut sink);
+                algo.run_bound_with(&table, 0, min_sup, &CountOnly, &mut sink);
                 start.elapsed().as_secs_f64()
             };
             if round > 0 {
@@ -1977,7 +1982,7 @@ fn ablate_base_order(opt: &ExpOptions) -> Figure {
         DimOrdering::EntropyDesc,
     ];
     let min_sup = 16;
-    let rows = [Algo::CcMm, Algo::CcStarArray]
+    let rows = [Algorithm::CCubingMm, Algorithm::CCubingStarArray]
         .into_iter()
         .map(|algo| {
             let cells: Vec<String> = orderings

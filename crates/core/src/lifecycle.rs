@@ -265,6 +265,35 @@ pub fn stop_cause() -> CubeError {
         .unwrap_or(CubeError::Cancelled)
 }
 
+/// Run `f` with the failure surface every cube run shares: the ambient
+/// token is checked before and after, and a panic is contained into
+/// [`CubeError::WorkerPanicked`] — tripping the token, so every other
+/// observer of the run (stream consumers, query handles) sees the same
+/// outcome — instead of crossing the API. A token trip observed after `f`
+/// returns is the run's error.
+pub fn contain<R>(f: impl FnOnce() -> R) -> crate::Result<R> {
+    let token = current();
+    if let Some(t) = &token {
+        t.check()?;
+    }
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        let err = CubeError::WorkerPanicked { message };
+        if let Some(t) = &token {
+            t.trip(err.clone());
+        }
+        err
+    })?;
+    if let Some(t) = &token {
+        t.check()?;
+    }
+    Ok(result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +368,23 @@ mod tests {
         // No ambient token: polls are free and bump nothing.
         assert!(!should_stop());
         assert_eq!(t.progress(), 2);
+    }
+
+    #[test]
+    fn contain_turns_panics_and_trips_into_errors() {
+        assert_eq!(contain(|| 7), Ok(7));
+        let t = CancelToken::new();
+        let guard = install(&t);
+        let err = contain(|| -> u32 { panic!("boom") }).unwrap_err();
+        assert_eq!(
+            err,
+            CubeError::WorkerPanicked {
+                message: "boom".into()
+            }
+        );
+        assert_eq!(t.cause(), Some(err), "the panic trips the ambient token");
+        assert!(contain(|| ()).is_err(), "a tripped token fails up front");
+        drop(guard);
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //! the parallel engine warm-starts from): one task per leading-dimension
 //! group the batch touches (cells *binding* the leading dimension), plus one
 //! "rest" task for the cells that *star* it. Tasks own disjoint cell sets,
-//! run on per-worker stealing deques, and their patch lists are spliced in
-//! task order — deterministic under any thread count.
+//! run on the parallel engine's task scheduler ([`ccube_engine::schedule`]),
+//! and their patch lists are spliced in task order — deterministic under
+//! any thread count.
 //!
 //! The splice protocol is: affected cell found closed → upsert
 //! (new/changed); found non-closed → remove if present ("retired" — provably
@@ -53,12 +54,11 @@
 
 use ccube_core::cell::{Cell, STAR};
 use ccube_core::closedness::ClosedInfo;
-use ccube_core::lifecycle::{self, CancelToken};
+use ccube_core::lifecycle::CancelToken;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::{CubeError, DimMask, Table, TupleId};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// The sharding inputs of a delta pass — the session's cached artifacts,
 /// borrowed: the dimension recursion order (its sharding permutation) and
@@ -76,7 +76,7 @@ pub struct DeltaPlan<'a> {
     /// One [`Group`] per distinct `order[0]` value, value-ascending,
     /// indexing into [`DeltaPlan::tids`].
     pub groups: &'a [Group],
-    /// Worker threads for the task pool (`<= 1` runs inline).
+    /// Worker threads for the engine's task scheduler (`<= 1` runs inline).
     pub threads: usize,
 }
 
@@ -192,8 +192,26 @@ impl MaterializedCube {
         }
         stats.tasks = tasks.len() as u64;
 
-        let outputs = run_tasks(table, self.min_sup, old_rows as TupleId, plan, tasks);
+        // Maintenance must run to completion — a half-applied patch would
+        // corrupt the materialization — but the partition kernels poll the
+        // ambient token cooperatively. So the tasks run under a fresh shield
+        // token, which the scheduler installs in every worker and inline in
+        // place of any ambient query token, and which nothing ever trips.
+        // Outputs are spliced in task-index order, so the result is
+        // thread-count-independent.
+        let mut outputs: Vec<Option<TaskOutput>> = (0..tasks.len()).map(|_| None).collect();
+        let (min_sup, old_rows) = (self.min_sup, old_rows as TupleId);
+        ccube_engine::schedule(
+            tasks.into_iter().enumerate().collect(),
+            plan.threads.min(outputs.len()),
+            Some(&CancelToken::new()),
+            |_: &mut (), (idx, task): (usize, Task), _children: &mut Vec<_>| {
+                (idx, run_task(table, min_sup, old_rows, plan.order, task))
+            },
+            |(idx, out)| outputs[idx] = Some(out),
+        );
         for out in outputs {
+            let out = out.expect("every task ran exactly once");
             stats.groups_rechecked += out.groups_rechecked;
             for (cell, count, closed) in out.cells {
                 if closed {
@@ -324,77 +342,6 @@ fn run_task(
         cells: ctx.out,
         groups_rechecked: ctx.groups_rechecked,
     }
-}
-
-fn run_tasks(
-    table: &Table,
-    min_sup: u64,
-    old_rows: TupleId,
-    plan: &DeltaPlan<'_>,
-    tasks: Vec<Task>,
-) -> Vec<TaskOutput> {
-    let workers = plan.threads.min(tasks.len()).max(1);
-    if workers <= 1 {
-        // Inline path. Shield the recursion from any ambient query token:
-        // maintenance must run to completion (a half-applied patch would
-        // corrupt the materialization), and the partition kernels poll the
-        // ambient token cooperatively.
-        let shield = CancelToken::new();
-        let _guard = lifecycle::install(&shield);
-        return tasks
-            .into_iter()
-            .map(|t| run_task(table, min_sup, old_rows, plan.order, t))
-            .collect();
-    }
-    // Stealing task pool: per-worker deques seeded round-robin, idle
-    // workers steal the oldest (coarsest) queued task — the same machinery
-    // the parallel engine schedules shard tasks with. Output is reassembled
-    // in task-index order, so the splice is thread-count-independent.
-    let count = tasks.len();
-    let deques: Vec<crossbeam_deque::Worker<(usize, Task)>> = (0..workers)
-        .map(|_| crossbeam_deque::Worker::new_lifo())
-        .collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        deques[i % workers].push((i, task));
-    }
-    let stealers: Vec<_> = deques.iter().map(|w| w.stealer()).collect();
-    let (tx, rx) = mpsc::channel::<(usize, TaskOutput)>();
-    std::thread::scope(|scope| {
-        for deque in deques {
-            let stealers = stealers.clone();
-            let tx = tx.clone();
-            let order = plan.order;
-            scope.spawn(move || {
-                let shield = CancelToken::new();
-                let _guard = lifecycle::install(&shield);
-                loop {
-                    let next = deque.pop().or_else(|| {
-                        stealers.iter().find_map(|s| loop {
-                            match s.steal() {
-                                crossbeam_deque::Steal::Success(t) => break Some(t),
-                                crossbeam_deque::Steal::Empty => break None,
-                                crossbeam_deque::Steal::Retry => continue,
-                            }
-                        })
-                    });
-                    let Some((idx, task)) = next else { break };
-                    let out = run_task(table, min_sup, old_rows, order, task);
-                    if tx.send((idx, out)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-    });
-    let mut outputs: Vec<Option<TaskOutput>> = (0..count).map(|_| None).collect();
-    for (idx, out) in rx {
-        outputs[idx] = Some(out);
-    }
-    outputs
-        .into_iter()
-        .map(|o| o.expect("every task ran exactly once"))
-        .collect()
 }
 
 /// The delta-pruned BUC recursion (see the module docs).
@@ -543,6 +490,48 @@ mod tests {
                 assert_eq!(as_counts(&cube), as_counts(&cold), "threads={threads}");
                 assert_eq!(cube.rows(), t.rows());
             }
+        }
+    }
+
+    #[test]
+    fn maintenance_ignores_the_callers_ambient_token() {
+        // A cancelled query token installed by the caller must not reach
+        // the maintenance recursion: the partition kernels poll the ambient
+        // token on slices of 1024+ tuples and would silently skip work.
+        // (The plans are built outside the token: sharding them is the
+        // caller's business, not maintenance's.)
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for threads in [1usize, 4] {
+            let mut t = SyntheticSpec::uniform(3_000, 4, 6, 1.0, 17).generate();
+            let (order, tids, groups, threads) = plan_for(&t, threads);
+            let plan = DeltaPlan {
+                order: &order,
+                tids: &tids,
+                groups: &groups,
+                threads,
+            };
+            let ambient = ccube_core::lifecycle::install(&cancelled);
+            let (mut cube, _) = MaterializedCube::build(&t, 2, &plan).unwrap();
+            drop(ambient);
+            let want = naive_closed_counts(&t, 2);
+            assert_eq!(as_counts(&cube), want, "build, threads={threads}");
+
+            let old_rows = t.rows();
+            let batch: Vec<u32> = (0..200u32).map(|i| (i * 7) % 6).collect();
+            t.append_rows(&batch).unwrap();
+            let (order, tids, groups, threads) = plan_for(&t, threads);
+            let plan = DeltaPlan {
+                order: &order,
+                tids: &tids,
+                groups: &groups,
+                threads,
+            };
+            let ambient = ccube_core::lifecycle::install(&cancelled);
+            cube.patch(&t, old_rows, &plan);
+            drop(ambient);
+            let want = naive_closed_counts(&t, 2);
+            assert_eq!(as_counts(&cube), want, "patch, threads={threads}");
         }
     }
 

@@ -17,7 +17,7 @@
 //!   copy of its group's tuple IDs so it can move to any worker);
 //! * task `(k, v)` materializes a row view with group-by dimensions
 //!   `perm[k..]` and runs the algorithm on it with its first dimension
-//!   **pre-bound** (the `run_bound` family): the shard is constant on
+//!   **pre-bound** (the facade's `Algorithm::run_bound_with`): the shard is constant on
 //!   `perm[k]`, so the algorithm computes only the cells the shard owns.
 //!   Iceberg hosts previously recomputed every `perm[k] = *` cell only for
 //!   [`ShardedSink`] to drop it — roughly double work per shard; closed
@@ -119,7 +119,7 @@
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::order::DimOrdering;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::{CellBatch, CellSink};
@@ -127,8 +127,7 @@ use ccube_core::table::{Table, TupleId, ViewArena};
 use ccube_core::{faults, CubeError, DimMask};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Default [`EngineConfig::split_threshold`]: shards costing more than this
@@ -229,7 +228,7 @@ impl EngineConfig {
 }
 
 /// Scheduling and memory counters of one engine run (see
-/// [`run_partitioned_stats`]).
+/// [`run_partitioned`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whether the run took the sequential fast path (no sharding; the
@@ -282,11 +281,10 @@ enum SinkMode<'s, A> {
     Buffered(CellBatch<A>),
     /// Sequential-fast-path mode: the view is the base table itself
     /// (identity dimension map, `bound = 0`), so cells forward straight to
-    /// the caller's sink with **zero buffering**; `cells`/`bytes` feed the
-    /// run's [`EngineStats`].
+    /// the caller's sink with **zero buffering**; `bytes` feeds the run's
+    /// [`EngineStats`].
     Direct {
         forward: &'s mut dyn FnMut(&[u32], u64, &A),
-        cells: usize,
         bytes: u64,
     },
 }
@@ -312,11 +310,7 @@ impl<'s, A> ShardedSink<'s, A> {
 
     fn direct(forward: &'s mut dyn FnMut(&[u32], u64, &A), dims: usize) -> ShardedSink<'s, A> {
         ShardedSink {
-            out: SinkMode::Direct {
-                forward,
-                cells: 0,
-                bytes: 0,
-            },
+            out: SinkMode::Direct { forward, bytes: 0 },
             global: Vec::new(),
             dim_map: (0..dims).collect(),
             closed: false,
@@ -332,25 +326,12 @@ impl<'s, A> ShardedSink<'s, A> {
         }
     }
 
-    /// `(cells, bytes)` forwarded so far (fast-path mode only).
-    fn direct_totals(&self) -> (usize, u64) {
+    /// Bytes forwarded so far (fast-path mode only).
+    fn direct_bytes(&self) -> u64 {
         match &self.out {
-            SinkMode::Direct { cells, bytes, .. } => (*cells, *bytes),
+            SinkMode::Direct { bytes, .. } => *bytes,
             SinkMode::Buffered(_) => unreachable!("buffered sinks count via the merger"),
         }
-    }
-
-    /// Cells reconciled so far (diagnostics).
-    pub fn len(&self) -> usize {
-        match &self.out {
-            SinkMode::Buffered(batch) => batch.len(),
-            SinkMode::Direct { cells, .. } => *cells,
-        }
-    }
-
-    /// True when no cell has been kept yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -364,13 +345,8 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
             return;
         }
         match &mut self.out {
-            SinkMode::Direct {
-                forward,
-                cells,
-                bytes,
-            } => {
+            SinkMode::Direct { forward, bytes } => {
                 // Fast path: the cell already is in base-table order.
-                *cells += 1;
                 *bytes += cell.len() as u64 * 4 + 8 + std::mem::size_of::<A>() as u64;
                 forward(cell, count, acc);
             }
@@ -687,119 +663,6 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
     }
 }
 
-/// Count-only [`run_partitioned_with`]: run `algo` partition-parallel over
-/// `table` and emit the exact sequential result set into `sink`.
-///
-/// `closed` declares whether `algo` emits only closed cells (the C-Cubing
-/// variants and QC-DFS): closed runs get carried-dimension views and apex
-/// closedness reconciliation; iceberg runs get plain suffix views and
-/// pre-bound-dimension filtering.
-///
-/// `algo` is invoked once per (sub-)shard with a view of the base table (see
-/// [`ccube_core::Table::view`]) whose first `bound` group-by dimensions are
-/// constant, and must emit every qualifying cell *binding those dimensions*
-/// into the given [`ShardedSink`] — the `run_bound` entry points do exactly
-/// that. An algorithm that ignores `bound` and emits every cell of the view
-/// stays correct (the sink drops foreign cells) but wastes the redundancy
-/// the bound entry points eliminate.
-///
-/// Fallible: misuse (`min_sup == 0`, a carried-dimension view) is reported
-/// as a typed [`CubeError`], and so is every lifecycle outcome — an ambient
-/// [`CancelToken`] trip (cancel/deadline/budget) or a contained worker/sink
-/// panic. Output already emitted into `sink` before an error surfaced is
-/// partial and should be discarded by the caller.
-pub fn run_partitioned<F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    algo: F,
-    sink: &mut S,
-) -> Result<(), CubeError>
-where
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_>) + Sync,
-    S: CellSink<()> + ?Sized,
-{
-    run_partitioned_with(table, min_sup, config, closed, &CountOnly, algo, sink)
-}
-
-/// [`run_partitioned`] returning the run's [`EngineStats`] (scheduling and
-/// peak-buffered-bytes counters).
-pub fn run_partitioned_stats<F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    algo: F,
-    sink: &mut S,
-) -> Result<EngineStats, CubeError>
-where
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_>) + Sync,
-    S: CellSink<()> + ?Sized,
-{
-    run_partitioned_with_stats(table, min_sup, config, closed, &CountOnly, algo, sink)
-}
-
-/// Run `algo` partition-parallel over `table`, carrying the complex-measure
-/// accumulators of `spec`, and emit the exact sequential result set into
-/// `sink`. See [`run_partitioned`] for the contract on `algo`, `closed`,
-/// and the error semantics.
-pub fn run_partitioned_with<M, F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    spec: &M,
-    algo: F,
-    sink: &mut S,
-) -> Result<(), CubeError>
-where
-    M: MeasureSpec + Sync,
-    M::Acc: Send,
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_, M::Acc>) + Sync,
-    S: CellSink<M::Acc> + ?Sized,
-{
-    run_partitioned_with_stats(table, min_sup, config, closed, spec, algo, sink).map(|_| ())
-}
-
-/// Turn a caught panic payload into the run's error, tripping `token` so
-/// every other observer of the run (stream consumers, query handles) sees
-/// the same outcome.
-fn panic_to_error(
-    token: &Option<CancelToken>,
-    payload: Box<dyn std::any::Any + Send>,
-) -> CubeError {
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string());
-    let err = CubeError::WorkerPanicked { message };
-    if let Some(token) = token {
-        token.trip(err.clone());
-    }
-    err
-}
-
-/// [`run_partitioned_with`] returning the run's [`EngineStats`].
-pub fn run_partitioned_with_stats<M, F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    spec: &M,
-    algo: F,
-    sink: &mut S,
-) -> Result<EngineStats, CubeError>
-where
-    M: MeasureSpec + Sync,
-    M::Acc: Send,
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_, M::Acc>) + Sync,
-    S: CellSink<M::Acc> + ?Sized,
-{
-    run_partitioned_warm_with_stats(table, min_sup, config, closed, spec, algo, sink, None)
-}
-
 /// Pre-derived sharding artifacts a session caches across queries so warm
 /// runs skip per-query setup: the dimension permutation (deriving the
 /// entropy order costs a full O(rows × dims) scan) and the level-0
@@ -832,12 +695,36 @@ impl WarmStart<'_> {
     }
 }
 
-/// [`run_partitioned_with_stats`] with optional pre-derived sharding
-/// artifacts (see [`WarmStart`]). The cube computed is identical either
-/// way; a valid warm start only removes the per-query permutation scan
-/// and the level-0 partition pass.
+/// Run `algo` partition-parallel over `table`, carrying the complex-measure
+/// accumulators of `spec`, and emit the exact sequential result set into
+/// `sink`. Returns the run's [`EngineStats`] (scheduling and
+/// peak-buffered-bytes counters).
+///
+/// `closed` declares whether `algo` emits only closed cells (the C-Cubing
+/// variants and QC-DFS): closed runs get carried-dimension views and apex
+/// closedness reconciliation; iceberg runs get plain suffix views and
+/// pre-bound-dimension filtering.
+///
+/// `algo` is invoked once per (sub-)shard with a view of the base table (see
+/// [`ccube_core::Table::view`]) whose first `bound` group-by dimensions are
+/// constant, and must emit every qualifying cell *binding those dimensions*
+/// into the given [`ShardedSink`] — the facade's `Algorithm::run_bound_with`
+/// does exactly that. An algorithm that ignores `bound` and emits every
+/// cell of the view stays correct (the sink drops foreign cells) but wastes
+/// the redundancy the bound entry points eliminate.
+///
+/// `warm` optionally supplies pre-derived sharding artifacts (see
+/// [`WarmStart`]). The cube computed is identical either way; a valid warm
+/// start only removes the per-query permutation scan and the level-0
+/// partition pass.
+///
+/// Fallible: misuse (`min_sup == 0`, a carried-dimension view) is reported
+/// as a typed [`CubeError`], and so is every lifecycle outcome — an ambient
+/// [`CancelToken`] trip (cancel/deadline/budget) or a contained worker/sink
+/// panic. Output already emitted into `sink` before an error surfaced is
+/// partial and should be discarded by the caller.
 #[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_warm_with_stats<M, F, S>(
+pub fn run_partitioned<M, F, S>(
     table: &Table,
     min_sup: u64,
     config: &EngineConfig,
@@ -877,25 +764,19 @@ where
     // over the base table (bound = 0: the sink keeps every cell, the
     // algorithm emits the apex itself), streaming every cell straight into
     // the caller's sink — zero buffering. This is what keeps the 1-thread
-    // engine within noise of `Algorithm::run` instead of paying per-level
-    // re-sharding for parallelism it cannot bank. Panics are contained here
-    // just as on the pool path, so the failure surface is uniform.
+    // engine within noise of a plain sequential run instead of paying
+    // per-level re-sharding for parallelism it cannot bank. Panics are
+    // contained here just as on the pool path, so the failure surface is
+    // uniform.
     if config.sequential_threshold > 0
         && (config.effective_threads() <= 1 || n * (dims as u64) < config.sequential_threshold)
     {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let bytes = lifecycle::contain(|| {
             let mut forward = |cell: &[u32], count: u64, acc: &M::Acc| sink.emit(cell, count, acc);
             let mut out = ShardedSink::direct(&mut forward, dims);
             algo(table, 0, min_sup, &mut out);
-            out.direct_totals()
-        }));
-        let (_, bytes) = match outcome {
-            Ok(totals) => totals,
-            Err(payload) => return Err(panic_to_error(&token, payload)),
-        };
-        if let Some(t) = &token {
-            t.check()?;
-        }
+            out.direct_bytes()
+        })?;
         return Ok(EngineStats {
             fast_path: true,
             tasks: 1,
@@ -906,12 +787,14 @@ where
     }
 
     // ---- Sharded run. Everything from seeding to the merge drain runs
-    // under one catch_unwind: a panicking worker re-raises through
-    // `thread::scope`, a panicking final sink unwinds the merge loop — both
-    // land here and surface as `WorkerPanicked` instead of crossing the
-    // public API.
+    // contained: a panicking worker re-raises through `thread::scope`, a
+    // panicking final sink unwinds the merge loop — both surface as
+    // `WorkerPanicked` instead of crossing the public API. A tripped token
+    // (cancel, deadline, budget — the merger itself trips on budget
+    // overrun) is the run's outcome; partial output is the caller's to
+    // discard.
     let warm = warm.filter(|w| w.matches(table));
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let (mut stats, apex_info, merged_all) = lifecycle::contain(|| {
         let perm = match warm {
             Some(w) => w.perm.to_vec(),
             None => config.ordering.permutation(table),
@@ -966,7 +849,6 @@ where
             closed,
             recycler: &recycler,
             algo: &algo,
-            token: token.clone(),
         };
         let in_flight = AtomicU64::new(0);
         let mut merger: Merger<'_, M::Acc, S> =
@@ -976,23 +858,38 @@ where
         }
         let threads = config.effective_threads().min(seeds.len().max(1));
         if threads <= 1 {
-            ctx.run_sequential(seeds, &mut merger);
+            // Lexicographic path order (parents first, children
+            // depth-first): every batch is emittable the moment it
+            // completes and the merge frontier stays at one task — the
+            // bounded-memory ideal.
+            seeds.sort_by(|a, b| a.path.cmp(&b.path));
         } else {
-            ctx.run_pool(seeds, threads, &mut merger);
+            // Largest first: the heaviest shard is examined (and, if
+            // oversized, split) earliest, bounding makespan under skew —
+            // LPT scheduling with the closed-aware cost estimate. The
+            // merger restores output order from shard paths.
+            seeds.sort_by_key(|t| std::cmp::Reverse(t.cost(closed)));
         }
+        merger.stats.steals = schedule(
+            seeds,
+            threads,
+            token.as_ref(),
+            |scratch: &mut Scratch, task, children: &mut Vec<Task>| {
+                let done = ctx.process(task, scratch, children);
+                // Bytes between a worker's completion and the merger's
+                // receipt count toward the peak (0 on sequential runs).
+                in_flight.fetch_add(done.batch.byte_size(), Ordering::Relaxed);
+                done
+            },
+            |done: Completion<M::Acc>| {
+                in_flight.fetch_sub(done.batch.byte_size(), Ordering::Relaxed);
+                merger.complete(done);
+            },
+        );
         (merger.stats, merger.apex_info, merger.is_done())
-    }));
-    let (mut stats, apex_info, merged_all) = match outcome {
-        Ok(state) => state,
-        Err(payload) => return Err(panic_to_error(&token, payload)),
-    };
-    // A tripped token (cancel, deadline, budget — the merger itself trips on
-    // budget overrun) is the run's outcome; partial output is the caller's
-    // to discard. An aborted merge legitimately leaves work buffered, so the
-    // is_done sanity check applies only to successful runs.
-    if let Some(t) = &token {
-        t.check()?;
-    }
+    })?;
+    // An aborted merge legitimately leaves work buffered, so the is_done
+    // sanity check applies only to successful runs.
     debug_assert!(merged_all, "streaming merge left work buffered");
 
     // ---- Apex reconciliation. Its count is the full row count; for closed
@@ -1028,10 +925,6 @@ struct Ctx<'a, F> {
     closed: bool,
     recycler: &'a BatchRecycler,
     algo: &'a F,
-    /// The run's lifecycle token, captured once at engine entry. Workers
-    /// re-install it ambiently in their own threads so cuber checkpoints
-    /// observe it; scheduler loops poll it directly between tasks.
-    token: Option<CancelToken>,
 }
 
 /// Per-worker reusable scratch.
@@ -1055,12 +948,6 @@ impl Default for Scratch {
 }
 
 impl<'a, F> Ctx<'a, F> {
-    /// Whether the run's token has tripped (cancel, deadline, budget, or a
-    /// contained panic elsewhere). Scheduler loops poll this between tasks.
-    fn stopped(&self) -> bool {
-        self.token.as_ref().is_some_and(|t| t.is_tripped())
-    }
-
     /// Process one task: either run the cuber over its view, or split it
     /// into `children` (left for the caller to schedule). Returns the
     /// task's [`Completion`] for the streaming merger.
@@ -1202,210 +1089,192 @@ impl<'a, F> Ctx<'a, F> {
             child_paths: Vec::new(),
         }
     }
+}
 
-    /// Single-threaded sharded run: process tasks in **lexicographic path
-    /// order** (parents first, then children depth-first), so every batch is
-    /// emittable the moment it completes and the merge frontier stays at one
-    /// task — the bounded-memory ideal. (LPT order only matters when there
-    /// is parallelism to balance.)
-    fn run_sequential<A, S>(&self, mut seeds: Vec<Task>, merger: &mut Merger<'_, A, S>)
-    where
-        F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
-        A: Send + Clone,
-        S: CellSink<A> + ?Sized,
-    {
-        // Descending path order: `pop` yields ascending.
-        seeds.sort_by(|a, b| b.path.cmp(&a.path));
-        let mut scratch = Scratch::default();
+/// The workspace's one task scheduler: runs `seeds` (and every child task
+/// they spawn) through `process`, handing each task's completion to
+/// `complete` on the calling thread. Returns the number of cross-worker
+/// steals. The engine schedules shard tasks with it; `ccube-delta` runs its
+/// maintenance tasks on it.
+///
+/// * `threads <= 1` runs inline and **depth-first in seed order**: each
+///   task's children (pushed by `process` in the order they should run)
+///   are processed before the next seed, and every completion is handed to
+///   `complete` immediately.
+/// * Otherwise `threads` workers process tasks off stealing deques — seeds
+///   are taken in the given order, children go LIFO onto the spawning
+///   worker's deque, idle workers steal the oldest task — and stream
+///   completions over a **bounded** channel to `complete`, so a slow
+///   consumer back-pressures the workers instead of letting completions
+///   pile up.
+///
+/// `token`, when given, is installed ambiently in every worker and on the
+/// calling thread for the duration of the run (so cooperative checkpoints
+/// observe it), and scheduling stops — remaining tasks abandoned — once it
+/// trips. `W` is per-worker scratch, created once per worker. A panic in
+/// `process` or `complete` re-raises here after every worker has stopped.
+pub fn schedule<T, C, W, P, R>(
+    seeds: Vec<T>,
+    threads: usize,
+    token: Option<&CancelToken>,
+    process: P,
+    mut complete: R,
+) -> u64
+where
+    T: Send,
+    C: Send,
+    W: Default,
+    P: Fn(&mut W, T, &mut Vec<T>) -> C + Sync,
+    R: FnMut(C),
+{
+    let _ambient = token.map(lifecycle::install);
+    let stopped = || token.is_some_and(CancelToken::is_tripped);
+    if threads <= 1 {
+        let mut scratch = W::default();
         let mut stack = seeds;
+        stack.reverse();
         let mut children = Vec::new();
         while let Some(task) = stack.pop() {
-            if self.stopped() {
+            if stopped() {
                 break;
             }
-            let completion = self.process(task, &mut scratch, &mut children);
-            // Children are generated in ascending path order; push reversed
-            // so the lexicographically first child is processed next.
-            while let Some(child) = children.pop() {
-                stack.push(child);
-            }
-            merger.complete(completion);
+            let done = process(&mut scratch, task, &mut children);
+            // Pushed reversed, so the first child runs next.
+            stack.extend(children.drain(..).rev());
+            complete(done);
         }
+        return 0;
     }
 
-    /// Multi-threaded run: workers process tasks off stealing deques and
-    /// stream completions to the merger on this (the calling) thread, which
-    /// emits each batch as soon as its lexicographic predecessors finished.
-    fn run_pool<A, S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, A, S>)
-    where
-        F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
-        A: Send + Clone,
-        S: CellSink<A> + ?Sized,
-    {
-        // Largest first: the heaviest shard is examined (and, if oversized,
-        // split) earliest, bounding makespan under skew — LPT scheduling
-        // with the closed-aware cost estimate. Output order is restored by
-        // the merger from shard paths.
-        let mut seeds = seeds;
-        seeds.sort_by_key(|t| std::cmp::Reverse(t.cost(self.closed)));
-        let injector: Injector<Task> = Injector::new();
-        let pending = AtomicUsize::new(seeds.len());
-        for task in seeds {
-            injector.push(task);
-        }
-        let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<Task>> = workers.iter().map(Worker::stealer).collect();
-        let steals = AtomicU64::new(0);
-        let in_flight = merger.in_flight;
-        // Abort flag: set by whichever side unwinds from a panic, so the
-        // other side stops blocking and `thread::scope` can join (and
-        // re-raise the panic) instead of deadlocking on a full channel or a
-        // `pending` count that will never reach zero.
-        let aborted = std::sync::atomic::AtomicBool::new(false);
-        // Bounded channel: a slow final sink back-pressures the workers at a
-        // few completions each instead of letting the whole output queue up
-        // unaccounted behind the merging thread.
-        let (tx, rx) = mpsc::sync_channel::<Completion<A>>(threads * 4);
-        std::thread::scope(|scope| {
-            for (wi, worker) in workers.into_iter().enumerate() {
-                let injector = &injector;
-                let pending = &pending;
-                let stealers = &stealers;
-                let steals = &steals;
-                let aborted = &aborted;
-                let tx = tx.clone();
-                let ambient_token = self.token.clone();
-                let fault_scope = faults::current_scope();
-                scope.spawn(move || {
-                    let _panic_guard = AbortOnPanic(aborted);
-                    // Re-install the run's token in this worker's TLS so the
-                    // cuber checkpoints (which read the ambient token) see
-                    // cancellation from any thread. Same for the chaos fault
-                    // scope: plans are thread-scoped, so injection sites in
-                    // this worker only observe the test's plan if it is
-                    // carried across the spawn.
-                    let _ambient = ambient_token.as_ref().map(lifecycle::install);
-                    let _chaos = fault_scope
-                        .as_ref()
-                        .map(ccube_core::faults::FaultScope::install);
-                    let mut scratch = Scratch::default();
-                    let mut children: Vec<Task> = Vec::new();
-                    // Consecutive empty scans; drives the idle backoff so a
-                    // long tail task doesn't have the other workers hammering
-                    // its deque mutex (and a core) while they wait.
-                    let mut idle_scans = 0u32;
-                    'work: loop {
-                        let task =
-                            worker
-                                .pop()
-                                .or_else(|| injector.steal().success())
-                                .or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|&(si, _)| si != wi)
-                                        .find_map(|(_, s)| match s.steal() {
-                                            Steal::Success(t) => {
-                                                faults::inject("engine.task.steal");
-                                                steals.fetch_add(1, Ordering::Relaxed);
-                                                Some(t)
-                                            }
-                                            _ => None,
-                                        })
-                                });
-                        match task {
-                            Some(task) => {
-                                if self.stopped() || aborted.load(Ordering::SeqCst) {
-                                    // Abandon the task: the run is failing,
-                                    // nobody will read its output, and the
-                                    // merger wakes on disconnect.
-                                    break 'work;
-                                }
-                                idle_scans = 0;
-                                let completion = self.process(task, &mut scratch, &mut children);
-                                if !children.is_empty() {
-                                    // Count children before retiring the
-                                    // parent so `pending` can never dip to
-                                    // zero with work still queued.
-                                    pending.fetch_add(children.len(), Ordering::SeqCst);
-                                    for child in children.drain(..) {
-                                        worker.push(child);
+    let injector: Injector<T> = Injector::new();
+    let pending = AtomicUsize::new(seeds.len());
+    for task in seeds {
+        injector.push(task);
+    }
+    let workers: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+    let stealers: Vec<Stealer<T>> = workers.iter().map(Worker::stealer).collect();
+    let steals = AtomicU64::new(0);
+    // Abort flag: set by whichever side unwinds from a panic, so the other
+    // side stops blocking and `thread::scope` can join (and re-raise the
+    // panic) instead of deadlocking on a full channel or a `pending` count
+    // that will never reach zero.
+    let aborted = AtomicBool::new(false);
+    let (tx, rx) = mpsc::sync_channel::<C>(threads * 4);
+    std::thread::scope(|scope| {
+        for (wi, worker) in workers.into_iter().enumerate() {
+            let (injector, pending, stealers) = (&injector, &pending, &stealers);
+            let (steals, aborted, process, stopped) = (&steals, &aborted, &process, &stopped);
+            let tx = tx.clone();
+            let fault_scope = faults::current_scope();
+            scope.spawn(move || {
+                let _panic_guard = AbortOnPanic(aborted);
+                // Re-install the run's token in this worker's TLS so the
+                // checkpoints (which read the ambient token) see
+                // cancellation from any thread. Same for the chaos fault
+                // scope: plans are thread-scoped, so injection sites in this
+                // worker only observe the test's plan if it is carried
+                // across the spawn.
+                let _ambient = token.map(lifecycle::install);
+                let _chaos = fault_scope.as_ref().map(faults::FaultScope::install);
+                let mut scratch = W::default();
+                let mut children: Vec<T> = Vec::new();
+                // Consecutive empty scans; drives the idle backoff so a long
+                // tail task doesn't have the other workers hammering its
+                // deque mutex (and a core) while they wait.
+                let mut idle_scans = 0u32;
+                loop {
+                    let task = worker
+                        .pop()
+                        .or_else(|| injector.steal().success())
+                        .or_else(|| {
+                            stealers
+                                .iter()
+                                .enumerate()
+                                .filter(|&(si, _)| si != wi)
+                                .find_map(|(_, s)| match s.steal() {
+                                    Steal::Success(t) => {
+                                        faults::inject("engine.task.steal");
+                                        steals.fetch_add(1, Ordering::Relaxed);
+                                        Some(t)
                                     }
-                                }
-                                in_flight
-                                    .fetch_add(completion.batch.byte_size(), Ordering::Relaxed);
-                                faults::inject("engine.completion.send");
-                                // Blocks on a full channel (merge
-                                // backpressure) and errs once the receiver
-                                // is gone — the merging side owns `rx`
-                                // inside the scope closure, so every exit
-                                // of the merge loop (done, abort, panic
-                                // unwind) drops it and releases us.
-                                if tx.send(completion).is_err() {
-                                    break 'work;
-                                }
-                                pending.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            None => {
-                                if pending.load(Ordering::SeqCst) == 0
-                                    || aborted.load(Ordering::SeqCst)
-                                    || self.stopped()
-                                {
-                                    break;
-                                }
-                                idle_scans += 1;
-                                if idle_scans < 16 {
-                                    std::thread::yield_now();
-                                } else {
-                                    // Still-idle worker: sleep briefly (new
-                                    // work appears only when a running task
-                                    // splits, which takes far longer than
-                                    // this nap).
-                                    std::thread::sleep(std::time::Duration::from_micros(100));
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // ---- Streaming merge on the calling thread: every completion
-            // is folded into the frontier as it lands; batches drain to the
-            // sink the moment their lexicographic predecessors are done.
-            // `recv` blocks with no timeout: every abnormal exit (worker
-            // panic, cancellation, budget trip) ends with all workers
-            // dropping their `tx` clones, so `Disconnected` is the wakeup —
-            // no polling. `rx` is moved into this closure so that leaving
-            // the loop — normally or by unwinding from a sink panic — drops
-            // it and unblocks any worker parked in `tx.send`.
-            let rx = rx;
-            let _panic_guard = AbortOnPanic(&aborted);
-            while !merger.is_done() {
-                faults::inject("engine.completion.recv");
-                match rx.recv() {
-                    Ok(completion) => {
-                        in_flight.fetch_sub(completion.batch.byte_size(), Ordering::Relaxed);
-                        merger.complete(completion);
-                        // `complete` may have tripped the budget; exiting
-                        // drops `rx`, which stops the producers.
-                        if self.stopped() {
+                                    _ => None,
+                                })
+                        });
+                    let Some(task) = task else {
+                        if pending.load(Ordering::SeqCst) == 0
+                            || aborted.load(Ordering::SeqCst)
+                            || stopped()
+                        {
                             break;
                         }
+                        idle_scans += 1;
+                        if idle_scans < 16 {
+                            std::thread::yield_now();
+                        } else {
+                            // Still-idle worker: sleep briefly (new work
+                            // appears only when a running task splits, which
+                            // takes far longer than this nap).
+                            std::thread::sleep(std::time::Duration::from_micros(100));
+                        }
+                        continue;
+                    };
+                    if stopped() || aborted.load(Ordering::SeqCst) {
+                        // Abandon the task: the run is failing, nobody will
+                        // read its output, and the consumer wakes on
+                        // disconnect.
+                        break;
                     }
-                    // All workers gone with the frontier incomplete: a
-                    // worker panicked (scope exit re-raises it) or the run
-                    // was cancelled (the caller reports the token's cause).
-                    Err(mpsc::RecvError) => break,
+                    idle_scans = 0;
+                    let done = process(&mut scratch, task, &mut children);
+                    if !children.is_empty() {
+                        // Count children before retiring the parent so
+                        // `pending` can never dip to zero with work still
+                        // queued.
+                        pending.fetch_add(children.len(), Ordering::SeqCst);
+                        for child in children.drain(..) {
+                            worker.push(child);
+                        }
+                    }
+                    faults::inject("engine.completion.send");
+                    // Blocks on a full channel (consumer backpressure) and
+                    // errs once the receiver is gone — the consuming side
+                    // owns `rx` inside the scope closure, so every exit of
+                    // its loop (done, abort, panic unwind) drops it and
+                    // releases us.
+                    if tx.send(done).is_err() {
+                        break;
+                    }
+                    pending.fetch_sub(1, Ordering::SeqCst);
                 }
+            });
+        }
+        drop(tx);
+        // ---- Consume on the calling thread. `recv` blocks with no timeout:
+        // every exit (all work done, worker panic, token trip) ends with
+        // all workers dropping their `tx` clones, so `Disconnected` is the
+        // wakeup — no polling. `rx` is moved into this closure so that
+        // leaving the loop — normally or by unwinding from a panic in
+        // `complete` — drops it and unblocks any worker parked in `send`.
+        let rx = rx;
+        let _panic_guard = AbortOnPanic(&aborted);
+        loop {
+            faults::inject("engine.completion.recv");
+            let Ok(done) = rx.recv() else { break };
+            complete(done);
+            // `complete` may have tripped the token (the engine's merger
+            // enforces the memory budget); exiting drops `rx`, which stops
+            // the producers.
+            if stopped() {
+                break;
             }
-        });
-        merger.stats.steals = steals.load(Ordering::Relaxed);
-    }
+        }
+    });
+    steals.load(Ordering::Relaxed)
 }
 
 /// Sets the flag when dropped during a panic unwind — the cross-thread
-/// "stop waiting for me" signal of [`Ctx::run_pool`].
-struct AbortOnPanic<'a>(&'a std::sync::atomic::AtomicBool);
+/// "stop waiting for me" signal of [`schedule`].
+struct AbortOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
@@ -1418,9 +1287,26 @@ impl Drop for AbortOnPanic<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccube_core::measure::CountOnly;
     use ccube_core::sink::{collect_counts, CollectSink, CountingSink};
     use ccube_core::TableBuilder;
     use ccube_data::SyntheticSpec;
+
+    /// Count-only, cold-start [`run_partitioned`].
+    fn run<F, S>(
+        table: &Table,
+        min_sup: u64,
+        config: &EngineConfig,
+        closed: bool,
+        algo: F,
+        sink: &mut S,
+    ) -> Result<EngineStats, CubeError>
+    where
+        F: Fn(&Table, usize, u64, &mut ShardedSink<'_>) + Sync,
+        S: CellSink<()> + ?Sized,
+    {
+        run_partitioned(table, min_sup, config, closed, &CountOnly, algo, sink, None)
+    }
 
     fn run_par_closed(
         table: &Table,
@@ -1431,7 +1317,7 @@ mod tests {
         // tables small enough for the sequential fast path (which has its
         // own dedicated tests).
         collect_counts(|sink| {
-            run_partitioned(
+            run(
                 table,
                 min_sup,
                 &EngineConfig::with_threads(threads).always_sharded(),
@@ -1439,7 +1325,7 @@ mod tests {
                 |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
                 sink,
             )
-            .unwrap()
+            .unwrap();
         })
     }
 
@@ -1479,7 +1365,7 @@ mod tests {
             let want = collect_counts(|s| ccube_baselines::buc(&t, min_sup, s));
             for threads in [1, 3] {
                 let got = collect_counts(|sink| {
-                    run_partitioned(
+                    run(
                         &t,
                         min_sup,
                         &EngineConfig::with_threads(threads).always_sharded(),
@@ -1487,7 +1373,7 @@ mod tests {
                         |view, bound, m, out| ccube_baselines::buc_bound(view, bound, m, out),
                         sink,
                     )
-                    .unwrap()
+                    .unwrap();
                 });
                 assert_eq!(got, want, "threads={threads} min_sup={min_sup}");
             }
@@ -1508,7 +1394,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let got = collect_counts(|sink| {
-                run_partitioned(
+                run(
                     &t,
                     2,
                     &config,
@@ -1516,7 +1402,7 @@ mod tests {
                     |view, _bound, m, out| ccube_baselines::buc(view, m, out),
                     sink,
                 )
-                .unwrap()
+                .unwrap();
             });
             assert_eq!(got, want, "threads={threads}");
         }
@@ -1536,7 +1422,7 @@ mod tests {
                         ..EngineConfig::default()
                     };
                     let got = collect_counts(|sink| {
-                        run_partitioned(
+                        run(
                             &t,
                             min_sup,
                             &config,
@@ -1544,7 +1430,7 @@ mod tests {
                             |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
                             sink,
                         )
-                        .unwrap()
+                        .unwrap();
                     });
                     assert_eq!(got, want, "threshold={threshold} threads={threads}");
                 }
@@ -1584,7 +1470,7 @@ mod tests {
                     sequential_threshold: 0,
                     ..EngineConfig::default()
                 };
-                run_partitioned(
+                run(
                     &t,
                     2,
                     &config,
@@ -1618,7 +1504,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let mut got = CollectSink::default();
-            run_partitioned_with(
+            run_partitioned(
                 &t,
                 2,
                 &config,
@@ -1628,6 +1514,7 @@ mod tests {
                     ccube_mm::c_cubing_mm_with(view, m, ccube_mm::MmConfig::default(), &spec, out)
                 },
                 &mut got,
+                None,
             )
             .unwrap();
             assert_eq!(got.cells.len(), want.cells.len(), "threads={threads}");
@@ -1646,7 +1533,7 @@ mod tests {
         let t = TableBuilder::new(3).row(&[0, 1, 2]).build().unwrap();
         assert!(run_par_closed(&t, 2, 4).is_empty());
         let mut sink = CollectSink::<()>::default();
-        run_partitioned(
+        run(
             &t,
             5,
             &EngineConfig::default(),
@@ -1667,7 +1554,7 @@ mod tests {
         let want = collect_counts(|s| ccube_star::c_cubing_star(&t, 2, s));
         for threads in [1, 2, 8] {
             let mut sink = CollectSink::<()>::default();
-            let stats = run_partitioned_stats(
+            let stats = run(
                 &t,
                 2,
                 &EngineConfig::with_threads(threads),
@@ -1685,7 +1572,7 @@ mod tests {
         }
         // A 1-thread run with the fast path disabled shards — and agrees.
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
+        let stats = run(
             &t,
             2,
             &EngineConfig::with_threads(1).always_sharded(),
@@ -1714,7 +1601,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let mut sink = CountingSink::default();
-            let stats = run_partitioned_stats(
+            let stats = run(
                 &t,
                 2,
                 &config,
@@ -1754,7 +1641,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
+        let stats = run(
             &t,
             2,
             &config,
@@ -1771,7 +1658,7 @@ mod tests {
             ..config
         };
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
+        let stats = run(
             &t,
             2,
             &deeper,
@@ -1800,7 +1687,7 @@ mod tests {
             sequential_threshold: 0,
             ..EngineConfig::default()
         };
-        let err = run_partitioned(
+        let err = run(
             &t,
             2,
             &config,
@@ -1821,7 +1708,7 @@ mod tests {
     fn misuse_is_reported_as_typed_errors() {
         let t = SyntheticSpec::uniform(50, 3, 4, 1.0, 1).generate();
         let mut sink = CollectSink::<()>::default();
-        let err = run_partitioned(
+        let err = run(
             &t,
             0,
             &EngineConfig::default(),
@@ -1840,7 +1727,7 @@ mod tests {
         token.cancel();
         let _ambient = lifecycle::install(&token);
         let mut sink = CollectSink::<()>::default();
-        let err = run_partitioned(
+        let err = run(
             &t,
             2,
             &EngineConfig::with_threads(4).always_sharded(),
@@ -1868,7 +1755,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let mut sink = CountingSink::default();
-            let err = run_partitioned(
+            let err = run(
                 &t,
                 1,
                 &config,
@@ -1905,7 +1792,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let got = collect_counts(|sink| {
-            run_partitioned(
+            run(
                 &t,
                 2,
                 &config,
@@ -1913,7 +1800,7 @@ mod tests {
                 |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
                 sink,
             )
-            .unwrap()
+            .unwrap();
         });
         assert_eq!(got, want);
     }
@@ -1977,7 +1864,7 @@ mod tests {
         let want = collect_counts(|s| ccube_star::c_cubing_star_array(&t, 2, s));
         for ordering in ccube_core::order::ALL_ORDERINGS {
             let got = collect_counts(|sink| {
-                run_partitioned(
+                run(
                     &t,
                     2,
                     &EngineConfig {
@@ -1991,7 +1878,7 @@ mod tests {
                     |view, _bound, m, out| ccube_star::c_cubing_star_array(view, m, out),
                     sink,
                 )
-                .unwrap()
+                .unwrap();
             });
             assert_eq!(got, want, "{ordering:?}");
         }

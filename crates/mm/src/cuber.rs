@@ -63,11 +63,6 @@ pub fn mm_cube_bound_with<M, S>(
     run::<false, M, S>(table, bound, min_sup, config, spec, sink)
 }
 
-/// Count-only convenience wrapper around [`mm_cube_bound_with`].
-pub fn mm_cube_bound<S: CellSink<()>>(table: &Table, bound: usize, min_sup: u64, sink: &mut S) {
-    mm_cube_bound_with(table, bound, min_sup, MmConfig::default(), &CountOnly, sink)
-}
-
 /// MM-Cubing with measure `count` only.
 pub fn mm_cube<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
     mm_cube_with(table, min_sup, MmConfig::default(), &CountOnly, sink)

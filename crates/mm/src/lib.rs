@@ -30,7 +30,6 @@ pub mod cuber;
 pub mod valuemask;
 
 pub use cuber::{
-    c_cubing_mm, c_cubing_mm_with, mm_cube, mm_cube_bound, mm_cube_bound_with, mm_cube_with,
-    MmConfig,
+    c_cubing_mm, c_cubing_mm_with, mm_cube, mm_cube_bound_with, mm_cube_with, MmConfig,
 };
 pub use valuemask::ValueMask;

@@ -42,5 +42,5 @@ pub use aggregate::{
 pub use stararray::{
     c_cubing_star_array, c_cubing_star_array_pooled_with, c_cubing_star_array_with,
     lex_sorted_pool, star_array_cube, star_array_cube_bound, star_array_cube_bound_with,
-    star_array_cube_pooled_with, star_array_cube_with,
+    star_array_cube_pooled_with,
 };

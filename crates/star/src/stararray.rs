@@ -38,19 +38,10 @@ pub fn star_array_cube<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut 
     run::<false, CountOnly, S>(table, 0, min_sup, &CountOnly, sink)
 }
 
-/// StarArray cubing carrying the measures of `spec`.
-pub fn star_array_cube_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
-where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run::<false, M, S>(table, 0, min_sup, spec, sink)
-}
-
-/// [`star_array_cube_with`] with the first `bound` group-by dimensions
-/// *pre-bound*: the table must be constant on each of them, and only cells
-/// binding all of them are emitted (the parallel engine's shard entry
-/// point).
+/// StarArray cubing carrying the measures of `spec`, with the first `bound`
+/// group-by dimensions *pre-bound*: the table must be constant on each of
+/// them, and only cells binding all of them are emitted (the parallel
+/// engine's shard entry point; `bound = 0` is the plain cube).
 pub fn star_array_cube_bound_with<M, S>(
     table: &Table,
     bound: usize,
@@ -104,9 +95,10 @@ pub fn lex_sorted_pool(table: &Table) -> Vec<TupleId> {
     pool
 }
 
-/// [`star_array_cube_with`] starting from a pre-sorted `pool` (the output of
-/// [`lex_sorted_pool`] for this exact table). Produces identical output to
-/// the unpooled entry; the pool is only a skipped sort.
+/// [`star_array_cube_bound_with`] at `bound = 0`, starting from a
+/// pre-sorted `pool` (the output of [`lex_sorted_pool`] for this exact
+/// table). Produces identical output to the unpooled entry; the pool is only
+/// a skipped sort.
 pub fn star_array_cube_pooled_with<M, S>(
     table: &Table,
     pool: &[TupleId],

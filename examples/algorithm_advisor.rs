@@ -2,7 +2,7 @@
 //! (dependence, min_sup) grid and compare it with the planner's choice —
 //! driven through a [`CubeSession`] per table, so the advisor input is the
 //! session's *measured* [`TableStats`] (real cardinalities, skew and
-//! estimated dependence), not a hand-filled [`Workload`].
+//! estimated dependence), not hand-filled figures.
 //!
 //! ```sh
 //! cargo run --release --example algorithm_advisor
@@ -71,16 +71,16 @@ fn main() {
          (expected shape: CC(Star) holds the low-min_sup, high-R corner)"
     );
 
-    // The hand-filled Workload path still exists for what-if advisories
-    // with no table at hand:
-    let what_if = Workload {
+    // What-if advisories with no table at hand fill the statistics in by
+    // hand:
+    let what_if = TableStats {
         tuples: 400_000,
-        min_sup: 2,
-        cardinality: 2000,
+        cardinalities: vec![2000],
+        skews: vec![0.0],
         dependence: 0.0,
     };
     println!(
         "what-if (no table): T=400K, M=2, C=2000, R=0 -> {}",
-        recommend(&what_if.stats(), what_if.min_sup)
+        recommend(&what_if, 2)
     );
 }

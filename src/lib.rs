@@ -43,10 +43,13 @@
 //! assert_eq!(sink.counts()[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
 //! ```
 //!
-//! The [`Algorithm`] methods below ([`Algorithm::run`] and friends) remain
-//! as the **low-level path** — one explicit (algorithm, table, threshold)
-//! call with no planner, no caching and no subcube machinery. They and the
-//! session layer funnel into the same internal execution path.
+//! [`CubeQuery::threads`] / [`CubeQuery::engine`] route a query through the
+//! partition-parallel engine; every other knob (selection, projection,
+//! measures, lifecycle limits) composes with it. Below the session sits one
+//! **low-level path**, [`Algorithm::run_bound_with`]: a single explicit
+//! (algorithm, table, threshold) call with no planner, no caching and no
+//! lifecycle — the dispatch table the session and the engine's shard tasks
+//! both call.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -70,17 +73,16 @@ pub use session::{
     QueryStats, StreamPoll,
 };
 
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::sink::CellSink;
-use ccube_core::{CubeError, Table};
-use ccube_engine::ShardedSink;
+use ccube_core::Table;
 
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::{
         recommend, Algorithm, CacheStats, CellStream, CubeQuery, CubeSession, DeltaStats,
         EngineConfig, EngineStats, IngestStats, MaterializedCube, QueryHandle, QueryPlan,
-        QueryStats, StreamPoll, TableStats, Workload,
+        QueryStats, StreamPoll, TableStats,
     };
     pub use ccube_core::lifecycle::CancelToken;
     pub use ccube_core::measure::{AllColumns, ColumnStats, CountOnly, MeasureSpec};
@@ -166,14 +168,63 @@ impl Algorithm {
         }
     }
 
-    /// The single dispatch table of the facade: run this algorithm over
-    /// `table` with its first `bound` group-by dimensions pre-bound
-    /// (`bound = 0` is the plain unbound run — the `*_bound` entry points
-    /// are exactly the unbound entries there). Every public `run*` method
-    /// and the session/query layer funnels through here; no other match on
-    /// `self` performs algorithm dispatch.
-    fn dispatch_bound<M, S>(self, table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
-    where
+    /// Short display name matching the paper's figure legends.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Buc => "BUC",
+            Algorithm::QcDfs => "QC-DFS",
+            Algorithm::Mm => "MM",
+            Algorithm::CCubingMm => "CC(MM)",
+            Algorithm::Star => "Star",
+            Algorithm::CCubingStar => "CC(Star)",
+            Algorithm::StarArray => "StarArray",
+            Algorithm::CCubingStarArray => "CC(StarArray)",
+        }
+    }
+
+    /// The single dispatch table of the facade: compute the (closed) iceberg
+    /// cube of `table` at threshold `min_sup`, carrying the complex-measure
+    /// accumulators of `spec` (Section 6.1) on every cell emitted into
+    /// `sink`. No other match on `self` performs algorithm dispatch.
+    ///
+    /// `bound = 0` is the plain sequential run. With `bound > 0` the table's
+    /// first `bound` group-by dimensions must be constant over the table (a
+    /// shard of a first-dimension partition), and only the cells binding
+    /// them are computed: the iceberg hosts dispatch to their dedicated
+    /// `*_bound` entry points, skipping the starred-prefix cells entirely;
+    /// the closed algorithms need no special entry point — a cell starring a
+    /// constant dimension is non-closed and is never emitted — so they run
+    /// unchanged. This is how the parallel engine runs each shard.
+    ///
+    /// This is the low-level path — no planner, caching, parallelism or
+    /// lifecycle limits. [`CubeSession::query`] is the front door, and routes
+    /// through the engine with [`CubeQuery::threads`]:
+    ///
+    /// ```
+    /// use c_cubing::prelude::*;
+    ///
+    /// let table = TableBuilder::new(4)
+    ///     .row(&[0, 0, 0, 0])
+    ///     .row(&[0, 0, 0, 2])
+    ///     .row(&[0, 1, 1, 1])
+    ///     .build()
+    ///     .unwrap();
+    /// let mut seq = CollectSink::default();
+    /// Algorithm::CCubingStar.run_bound_with(&table, 0, 2, &CountOnly, &mut seq);
+    /// let mut par = CollectSink::default();
+    /// let mut session = CubeSession::new(table).unwrap();
+    /// let query = session.query().algorithm(Algorithm::CCubingStar).min_sup(2);
+    /// query.threads(2).run(&mut par).unwrap();
+    /// assert_eq!(par.counts(), seq.counts());
+    /// ```
+    pub fn run_bound_with<M, S>(
+        self,
+        table: &Table,
+        bound: usize,
+        min_sup: u64,
+        spec: &M,
+        sink: &mut S,
+    ) where
         M: MeasureSpec,
         S: CellSink<M::Acc>,
     {
@@ -205,272 +256,6 @@ impl Algorithm {
             }
         }
     }
-
-    /// Internal uniform execution path (`CubeRequest`): one entry the
-    /// `run*` shims and the [`CubeQuery`] terminals all reduce to. `None`
-    /// engine config means a plain sequential run (empty [`EngineStats`]);
-    /// `Some` routes through the partition-parallel engine. Both paths share
-    /// the engine's failure surface: misuse, ambient-token trips
-    /// (cancel/deadline/budget), and contained panics all surface as typed
-    /// [`CubeError`]s.
-    pub(crate) fn execute_request<M, S>(
-        self,
-        req: &CubeRequest<'_>,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError>
-    where
-        M: MeasureSpec + Sync,
-        M::Acc: Send,
-        S: CellSink<M::Acc>,
-    {
-        match &req.engine {
-            None => {
-                if req.min_sup < 1 {
-                    return Err(CubeError::ZeroMinSup);
-                }
-                run_guarded(|| self.dispatch_bound(req.table, 0, req.min_sup, spec, sink))?;
-                Ok(EngineStats::default())
-            }
-            Some(config) => ccube_engine::run_partitioned_warm_with_stats(
-                req.table,
-                req.min_sup,
-                config,
-                self.is_closed(),
-                spec,
-                |shard: &Table, bound: usize, m: u64, out: &mut ShardedSink<'_, M::Acc>| {
-                    self.dispatch_bound(shard, bound, m, spec, out)
-                },
-                sink,
-                req.warm.as_ref(),
-            ),
-        }
-    }
-
-    /// Short display name matching the paper's figure legends.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Buc => "BUC",
-            Algorithm::QcDfs => "QC-DFS",
-            Algorithm::Mm => "MM",
-            Algorithm::CCubingMm => "CC(MM)",
-            Algorithm::Star => "Star",
-            Algorithm::CCubingStar => "CC(Star)",
-            Algorithm::StarArray => "StarArray",
-            Algorithm::CCubingStarArray => "CC(StarArray)",
-        }
-    }
-
-    /// Compute the (closed) iceberg cube of `table` at threshold `min_sup`,
-    /// emitting into `sink`.
-    pub fn run<S: CellSink<()>>(self, table: &Table, min_sup: u64, sink: &mut S) {
-        self.run_with(table, min_sup, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run`] carrying the complex-measure accumulators of
-    /// `spec` (Section 6.1) on every emitted cell.
-    pub fn run_with<M, S>(self, table: &Table, min_sup: u64, spec: &M, sink: &mut S)
-    where
-        M: MeasureSpec,
-        S: CellSink<M::Acc>,
-    {
-        self.dispatch_bound(table, 0, min_sup, spec, sink)
-    }
-
-    /// Compute only the cells binding the table's first `bound` group-by
-    /// dimensions, which must be constant over the table (a shard of a
-    /// first-dimension partition). For the iceberg hosts this dispatches to
-    /// the dedicated `*_bound` entry points, skipping the starred-prefix
-    /// cells entirely; the closed algorithms need no special entry point —
-    /// a cell starring a constant dimension is non-closed and is never
-    /// emitted — so they run unchanged.
-    pub fn run_bound<S: CellSink<()>>(
-        self,
-        table: &Table,
-        bound: usize,
-        min_sup: u64,
-        sink: &mut S,
-    ) {
-        self.run_bound_with(table, bound, min_sup, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run_bound`] carrying the measures of `spec`.
-    pub fn run_bound_with<M, S>(
-        self,
-        table: &Table,
-        bound: usize,
-        min_sup: u64,
-        spec: &M,
-        sink: &mut S,
-    ) where
-        M: MeasureSpec,
-        S: CellSink<M::Acc>,
-    {
-        self.dispatch_bound(table, bound, min_sup, spec, sink)
-    }
-
-    /// Compute the same (closed) iceberg cube partition-parallel on
-    /// `threads` worker threads (`0` = one per CPU), emitting the exact
-    /// sequential result set into `sink` in a thread-count-independent
-    /// order. See [`ccube_engine`] for the sharding and shard-boundary
-    /// closedness reconciliation, and for the error semantics (misuse,
-    /// ambient cancellation, contained panics).
-    ///
-    /// ```
-    /// use c_cubing::prelude::*;
-    ///
-    /// let table = TableBuilder::new(4)
-    ///     .row(&[0, 0, 0, 0])
-    ///     .row(&[0, 0, 0, 2])
-    ///     .row(&[0, 1, 1, 1])
-    ///     .build()
-    ///     .unwrap();
-    /// let mut par = CollectSink::default();
-    /// Algorithm::CCubingStar.run_parallel(&table, 2, 4, &mut par).unwrap();
-    /// let mut seq = CollectSink::default();
-    /// Algorithm::CCubingStar.run(&table, 2, &mut seq);
-    /// assert_eq!(par.counts(), seq.counts());
-    /// ```
-    pub fn run_parallel<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        threads: usize,
-        sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.run_with_config(table, min_sup, &EngineConfig::with_threads(threads), sink)
-    }
-
-    /// [`Algorithm::run_parallel`] carrying the complex-measure accumulators
-    /// of `spec` on every emitted cell (the engine threads them through its
-    /// shard batches and merges them in the same deterministic order).
-    pub fn run_parallel_with<M, S>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        threads: usize,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<(), CubeError>
-    where
-        M: MeasureSpec + Sync,
-        M::Acc: Send,
-        S: CellSink<M::Acc>,
-    {
-        self.run_with_config_with(
-            table,
-            min_sup,
-            &EngineConfig::with_threads(threads),
-            spec,
-            sink,
-        )
-    }
-
-    /// [`Algorithm::run_parallel`] with full engine configuration (thread
-    /// count, sharding [`ccube_core::order::DimOrdering`], split threshold).
-    pub fn run_with_config<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.run_with_config_with(table, min_sup, config, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run_with_config`] returning the engine's scheduling and
-    /// peak-buffered-bytes counters ([`EngineStats`]) alongside the output —
-    /// the observability hook the `parallel` benchmark records in
-    /// `BENCH_parallel.json`.
-    pub fn run_with_config_stats<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError> {
-        self.execute_request(
-            &CubeRequest {
-                table,
-                min_sup,
-                engine: Some(*config),
-                warm: None,
-            },
-            &CountOnly,
-            sink,
-        )
-    }
-
-    /// [`Algorithm::run_with_config`] carrying the measures of `spec`.
-    pub fn run_with_config_with<M, S>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<(), CubeError>
-    where
-        M: MeasureSpec + Sync,
-        M::Acc: Send,
-        S: CellSink<M::Acc>,
-    {
-        self.execute_request(
-            &CubeRequest {
-                table,
-                min_sup,
-                engine: Some(*config),
-                warm: None,
-            },
-            spec,
-            sink,
-        )
-        .map(|_| ())
-    }
-}
-
-/// Run a sequential cube computation with the engine's failure surface:
-/// checks the ambient token before and after, contains panics into
-/// [`CubeError::WorkerPanicked`] (tripping the token so every observer
-/// agrees on the outcome), and reports a token trip as the run's error.
-pub(crate) fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
-    let token = ccube_core::lifecycle::current();
-    if let Some(t) = &token {
-        t.check()?;
-    }
-    let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            let err = CubeError::WorkerPanicked { message };
-            if let Some(t) = &token {
-                t.trip(err.clone());
-            }
-            return Err(err);
-        }
-    };
-    if let Some(t) = &token {
-        t.check()?;
-    }
-    Ok(result)
-}
-
-/// The internal uniform execution request: every public `run*` shim and the
-/// [`CubeQuery`] terminals reduce to one of these plus
-/// [`Algorithm::execute_request`]. (The table here is the *resolved* target
-/// — for subcube queries, the already-selected/projected subtable.)
-pub(crate) struct CubeRequest<'a> {
-    pub(crate) table: &'a Table,
-    pub(crate) min_sup: u64,
-    /// `None` = plain sequential run; `Some` = partition-parallel engine.
-    pub(crate) engine: Option<EngineConfig>,
-    /// Session-cached sharding artifacts (permutation + level-0 partition)
-    /// for warm engine runs; `None` derives both cold.
-    pub(crate) warm: Option<ccube_engine::WarmStart<'a>>,
 }
 
 impl std::fmt::Display for Algorithm {
@@ -502,8 +287,8 @@ impl std::str::FromStr for Algorithm {
 /// Measured per-table statistics feeding the [`recommend`] planner (and the
 /// [`CubeSession`] cache): observed cardinalities and skew per dimension
 /// plus an estimated data dependence, all derived from the actual data
-/// rather than hand-filled. [`Workload`] remains as the coarse hand-filled
-/// convenience constructor ([`Workload::stats`]).
+/// rather than hand-filled (the fields are public, so a what-if advisory
+/// can also fill them in by hand).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableStats {
     /// Number of tuples measured.
@@ -668,35 +453,6 @@ impl StatsState {
     }
 }
 
-/// A coarse hand-filled description of a closed-cubing workload — the
-/// convenience constructor for [`TableStats`] when no table is at hand to
-/// [`TableStats::measure`] (capacity planning, what-if advisories).
-#[derive(Clone, Copy, Debug)]
-pub struct Workload {
-    /// Number of tuples.
-    pub tuples: u64,
-    /// Iceberg threshold.
-    pub min_sup: u64,
-    /// Typical dimension cardinality.
-    pub cardinality: u32,
-    /// Estimated data dependence `R` (0 = independent; see
-    /// [`ccube_data::rules::RuleSet::dependence`]).
-    pub dependence: f64,
-}
-
-impl Workload {
-    /// Synthesize the [`TableStats`] this workload describes (pass the
-    /// result plus [`Workload::min_sup`] to [`recommend`]).
-    pub fn stats(&self) -> TableStats {
-        TableStats {
-            tuples: self.tuples,
-            cardinalities: vec![self.cardinality],
-            skews: vec![0.0],
-            dependence: self.dependence,
-        }
-    }
-}
-
 /// Pick a closed cubing algorithm for measured table statistics and an
 /// iceberg threshold, following the decision surface of Section 5
 /// (Figs 8–15):
@@ -711,8 +467,8 @@ impl Workload {
 ///   (multiway traversal) — the Fig 5 / Fig 10 crossover.
 ///
 /// `stats` is normally [`TableStats::measure`]d from the real table (a
-/// [`CubeSession`] caches it and auto-plans with it); [`Workload::stats`]
-/// synthesizes one from a hand-filled description. The thresholds are
+/// [`CubeSession`] caches it and auto-plans with it), or filled in by hand
+/// for a what-if advisory. The thresholds are
 /// heuristics fitted to our Fig 15 reproduction; see EXPERIMENTS.md.
 pub fn recommend(stats: &TableStats, min_sup: u64) -> Algorithm {
     // Switching point: around min_sup ≈ 16 at R = 0 on 400K rows in the
@@ -731,6 +487,7 @@ pub fn recommend(stats: &TableStats, min_sup: u64) -> Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccube_core::measure::CountOnly;
     use ccube_core::sink::CollectSink;
     use ccube_core::TableBuilder;
 
@@ -744,7 +501,7 @@ mod tests {
             .unwrap();
         for algo in Algorithm::ALL {
             let mut sink = CollectSink::default();
-            algo.run(&t, 1, &mut sink);
+            algo.run_bound_with(&t, 0, 1, &CountOnly, &mut sink);
             assert!(!sink.is_empty(), "{algo} produced no cells");
             assert_eq!(sink.duplicates, 0, "{algo} duplicated cells");
         }
@@ -770,41 +527,20 @@ mod tests {
 
     #[test]
     fn recommend_follows_fig15_shape() {
+        let stats = |cardinality: u32, dependence: f64| TableStats {
+            tuples: 400_000,
+            cardinalities: vec![cardinality],
+            skews: vec![0.0],
+            dependence,
+        };
         // Low min_sup, low cardinality -> CC(Star).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 2,
-            cardinality: 20,
-            dependence: 0.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingStar);
+        assert_eq!(recommend(&stats(20, 0.0), 2), Algorithm::CCubingStar);
         // Low min_sup, high cardinality -> CC(StarArray).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 2,
-            cardinality: 2000,
-            dependence: 0.0,
-        };
-        assert_eq!(
-            recommend(&w.stats(), w.min_sup),
-            Algorithm::CCubingStarArray
-        );
+        assert_eq!(recommend(&stats(2000, 0.0), 2), Algorithm::CCubingStarArray);
         // High min_sup, independent data -> CC(MM).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 256,
-            cardinality: 20,
-            dependence: 0.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingMm);
+        assert_eq!(recommend(&stats(20, 0.0), 256), Algorithm::CCubingMm);
         // Same min_sup but highly dependent data keeps Star ahead.
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 64,
-            cardinality: 20,
-            dependence: 3.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingStar);
+        assert_eq!(recommend(&stats(20, 3.0), 64), Algorithm::CCubingStar);
     }
 
     #[test]

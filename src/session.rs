@@ -71,10 +71,7 @@
 //! produce byte-identical output sequences (the cached artifacts are
 //! by-construction equal to what a cold run computes).
 
-use crate::{
-    recommend, run_guarded, Algorithm, CubeRequest, EngineConfig, EngineStats, StatsState,
-    TableStats,
-};
+use crate::{recommend, Algorithm, EngineConfig, EngineStats, StatsState, TableStats};
 use ccube_core::cell::Cell;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::{CountOnly, MeasureSpec};
@@ -932,36 +929,35 @@ impl Resolved {
             self.token.set_budget(b);
         }
         let _ambient = lifecycle::install(&self.token);
-        if let Some(pool) = pool {
-            debug_assert!(self.engine.is_none());
-            run_guarded(|| match self.algorithm {
-                Algorithm::StarArray => ccube_star::star_array_cube_pooled_with(
-                    &self.table,
-                    pool,
-                    self.min_sup,
-                    spec,
-                    sink,
-                ),
-                Algorithm::CCubingStarArray => ccube_star::c_cubing_star_array_pooled_with(
-                    &self.table,
-                    pool,
-                    self.min_sup,
-                    spec,
-                    sink,
-                ),
-                _ => unreachable!("pool is only drawn for StarArray-family plans"),
+        let algo = self.algorithm;
+        let Some(config) = &self.engine else {
+            // Sequential: the plain algorithm (or, on the base table, the
+            // StarArray family's pooled entry) with the engine's failure
+            // surface — ambient-token trips and contained panics surface as
+            // typed errors.
+            let (table, min_sup) = (&*self.table, self.min_sup);
+            lifecycle::contain(|| match pool {
+                None => algo.run_bound_with(table, 0, min_sup, spec, sink),
+                // Only StarArray-family plans draw the pool (`wants_pool`).
+                Some(pool) if algo.is_closed() => {
+                    ccube_star::c_cubing_star_array_pooled_with(table, pool, min_sup, spec, sink)
+                }
+                Some(pool) => {
+                    ccube_star::star_array_cube_pooled_with(table, pool, min_sup, spec, sink)
+                }
             })?;
             return Ok(EngineStats::default());
-        }
-        self.algorithm.execute_request(
-            &CubeRequest {
-                table: &self.table,
-                min_sup: self.min_sup,
-                engine: self.engine,
-                warm: self.warm.as_ref().map(|prep| prep.warm_start()),
-            },
+        };
+        debug_assert!(pool.is_none(), "engine runs never draw the pool");
+        ccube_engine::run_partitioned(
+            &self.table,
+            self.min_sup,
+            config,
+            algo.is_closed(),
             spec,
+            |shard, bound, m, out| algo.run_bound_with(shard, bound, m, spec, out),
             sink,
+            self.warm.as_ref().map(|prep| prep.warm_start()).as_ref(),
         )
     }
 
@@ -1255,7 +1251,10 @@ mod tests {
         let plan = s.query().min_sup(2).plan();
         assert!(plan.closed);
         assert!(plan.algorithm.is_closed());
-        let want = collect_counts(|sink| plan.algorithm.run(s.table(), 2, sink));
+        let want = collect_counts(|sink| {
+            plan.algorithm
+                .run_bound_with(s.table(), 0, 2, &CountOnly, sink)
+        });
         let got = collect_counts(|sink| {
             s.query().min_sup(2).run(sink).unwrap();
         });
@@ -1274,7 +1273,9 @@ mod tests {
                 .run(sink)
                 .unwrap();
         });
-        let want = collect_counts(|sink| Algorithm::Star.run(s.table(), 2, sink));
+        let want = collect_counts(|sink| {
+            Algorithm::Star.run_bound_with(s.table(), 0, 2, &CountOnly, sink)
+        });
         assert_eq!(got, want);
         assert_eq!(
             s.query()
@@ -1302,7 +1303,8 @@ mod tests {
             // Reference: filter by hand, cube the subtable.
             let tids = table.select_tids(1, &[3]);
             let filtered = table.view(&tids, &[0, 1, 2, 3], 4);
-            let want = collect_counts(|sink| algo.run(&filtered, 2, sink));
+            let want =
+                collect_counts(|sink| algo.run_bound_with(&filtered, 0, 2, &CountOnly, sink));
             assert_eq!(got, want, "{algo}");
         }
     }
@@ -1322,7 +1324,9 @@ mod tests {
         let mut tids = table.select_tids(0, &[0, 1]);
         table.filter_tids(2, &[1, 2, 3], &mut tids);
         let filtered = table.view(&tids, &[0, 1, 2, 3], 4);
-        let want = collect_counts(|sink| Algorithm::CCubingMm.run(&filtered, 1, sink));
+        let want = collect_counts(|sink| {
+            Algorithm::CCubingMm.run_bound_with(&filtered, 0, 1, &CountOnly, sink)
+        });
         assert_eq!(got, want);
     }
 
@@ -1340,7 +1344,9 @@ mod tests {
                 .unwrap();
         });
         let projected = table.view(&table.all_tids(), &[1, 3], 2);
-        let want = collect_counts(|sink| Algorithm::CCubingStar.run(&projected, 2, sink));
+        let want = collect_counts(|sink| {
+            Algorithm::CCubingStar.run_bound_with(&projected, 0, 2, &CountOnly, sink)
+        });
         assert_eq!(got, want);
         assert!(got.keys().all(|c| c.dims() == 2));
     }
@@ -1389,7 +1395,9 @@ mod tests {
     fn star_pool_cache_is_invisible_and_built_once() {
         let mut s = session();
         assert_eq!(s.cache_stats().pool_builds, 0);
-        let want = collect_counts(|sink| Algorithm::CCubingStarArray.run(s.table(), 2, sink));
+        let want = collect_counts(|sink| {
+            Algorithm::CCubingStarArray.run_bound_with(s.table(), 0, 2, &CountOnly, sink)
+        });
         for round in 0..3 {
             let got = collect_counts(|sink| {
                 s.query()
@@ -1412,7 +1420,7 @@ mod tests {
         let t = SyntheticSpec::uniform(300, 3, 5, 1.0, 6).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
         let mut want = CollectSink::default();
-        Algorithm::CCubingMm.run_with(&t, 2, &spec, &mut want);
+        Algorithm::CCubingMm.run_bound_with(&t, 0, 2, &spec, &mut want);
         let mut s = CubeSession::new(t).unwrap();
         let mut got = CollectSink::default();
         s.query()

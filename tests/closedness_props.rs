@@ -8,7 +8,10 @@
 //! * Definition 9 / Lemma 4 — the mask test agrees with the definitional
 //!   closedness check;
 //! * closed cubes are lossless (every iceberg cell recoverable);
-//! * all four closed cubers agree with the oracle on arbitrary data;
+//! * all four closed cubers agree with the oracle on arbitrary data (run
+//!   through the low-level `Algorithm::run_bound_with` at `bound = 0`, so the
+//!   unpooled StarArray construction is covered here; the session suites
+//!   cover the pooled one);
 //! * closure is idempotent and monotone.
 
 use c_cubing::prelude::*;
@@ -79,7 +82,7 @@ proptest! {
             Algorithm::CCubingStar,
             Algorithm::CCubingStarArray,
         ] {
-            let got = collect_counts(|s| algo.run(&table, min_sup, s));
+            let got = collect_counts(|s| algo.run_bound_with(&table, 0, min_sup, &CountOnly, s));
             prop_assert_eq!(&got, &want, "{} at min_sup={}", algo, min_sup);
         }
     }
@@ -88,7 +91,7 @@ proptest! {
     fn iceberg_cubers_match_oracle(table in arb_table(), min_sup in 1u64..6) {
         let want = naive_iceberg_counts(&table, min_sup);
         for algo in [Algorithm::Buc, Algorithm::Mm, Algorithm::Star, Algorithm::StarArray] {
-            let got = collect_counts(|s| algo.run(&table, min_sup, s));
+            let got = collect_counts(|s| algo.run_bound_with(&table, 0, min_sup, &CountOnly, s));
             prop_assert_eq!(&got, &want, "{} at min_sup={}", algo, min_sup);
         }
     }
@@ -137,7 +140,7 @@ proptest! {
         let perm: Vec<usize> = (0..table.dims()).rev().collect();
         let permuted = table.permute_dims(&perm).unwrap();
         let want = naive_closed_counts(&table, min_sup);
-        let got_p = collect_counts(|s| Algorithm::CCubingStarArray.run(&permuted, min_sup, s));
+        let got_p = collect_counts(|s| Algorithm::CCubingStarArray.run_bound_with(&permuted, 0, min_sup, &CountOnly, s));
         let got: std::collections::HashMap<Cell, u64> =
             got_p.into_iter().map(|(c, n)| (c.unpermute(&perm), n)).collect();
         prop_assert_eq!(got.len(), want.len());

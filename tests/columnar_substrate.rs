@@ -7,10 +7,29 @@
 
 use c_cubing::prelude::*;
 use ccube_core::closedness::ClosedInfo;
+use ccube_core::fxhash::FxHashMap;
 use ccube_core::partition::Partitioner;
 use ccube_core::sink::collect_counts;
 use ccube_core::{DimMask, TupleId, Width};
 use proptest::prelude::*;
+
+/// `algo`'s cube through the session front door: sequential for
+/// `threads = None`, otherwise on the engine with that many threads.
+fn cube(
+    session: &mut CubeSession,
+    algo: Algorithm,
+    min_sup: u64,
+    threads: Option<usize>,
+) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| {
+        let query = session.query().algorithm(algo).min_sup(min_sup);
+        match threads {
+            None => query.run(s),
+            Some(t) => query.engine(EngineConfig::with_threads(t)).run(s),
+        }
+        .unwrap();
+    })
+}
 
 /// Small random table plus a random subset of its tuple IDs (unsorted, no
 /// duplicates — the shape cubers hand to `for_group`).
@@ -156,6 +175,7 @@ proptest! {
 /// the closed quartet agrees cell-for-cell, the iceberg quartet agrees
 /// cell-for-cell, sequential and parallel runs are byte-identical.
 fn assert_all_algorithms_agree(table: &Table, min_sups: &[u64], label: &str) {
+    let mut session = CubeSession::new(table.clone()).unwrap();
     for &m in min_sups {
         let want_iceberg = ccube_core::naive::naive_iceberg_counts(table, m);
         let want_closed = ccube_core::naive::naive_closed_counts(table, m);
@@ -165,10 +185,10 @@ fn assert_all_algorithms_agree(table: &Table, min_sups: &[u64], label: &str) {
             } else {
                 &want_iceberg
             };
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = cube(&mut session, algo, m, None);
             assert_eq!(&got, want, "{algo} != naive on {label} at min_sup={m}");
             for threads in [1usize, 2, 8] {
-                let got = collect_counts(|s| algo.run_parallel(table, m, threads, s).unwrap());
+                let got = cube(&mut session, algo, m, Some(threads));
                 assert_eq!(
                     &got, want,
                     "{algo} parallel({threads}) != naive on {label} at min_sup={m}"
@@ -200,14 +220,15 @@ fn all_algorithms_agree_across_widths() {
         let narrow = SyntheticSpec::uniform(400, 4, card, 1.5, 9).generate();
         let wide = narrow.widened();
         assert!(wide.packed_rows().is_none());
+        let mut wide = CubeSession::new(wide).unwrap();
+        let mut narrow = CubeSession::new(narrow).unwrap();
         for m in [1u64, 8] {
             for algo in Algorithm::ALL {
-                let want = collect_counts(|s| algo.run(&wide, m, s));
-                let got = collect_counts(|s| algo.run(&narrow, m, s));
+                let want = cube(&mut wide, algo, m, None);
+                let got = cube(&mut narrow, algo, m, None);
                 assert_eq!(got, want, "{algo} width-sensitive on {label}");
                 for threads in [1usize, 2, 8] {
-                    let got =
-                        collect_counts(|s| algo.run_parallel(&narrow, m, threads, s).unwrap());
+                    let got = cube(&mut narrow, algo, m, Some(threads));
                     assert_eq!(
                         got, want,
                         "{algo} parallel({threads}) width-sensitive on {label}"

@@ -4,6 +4,7 @@
 //! code paths (dense, sparse, skewed, dependent, high-cardinality).
 
 use c_cubing::prelude::*;
+use ccube_core::fxhash::FxHashMap;
 use ccube_core::naive::{naive_closed_counts, naive_iceberg_counts};
 use ccube_core::sink::collect_counts;
 
@@ -20,11 +21,20 @@ const ICEBERG: [Algorithm; 4] = [
     Algorithm::StarArray,
 ];
 
+/// `algo`'s cube through the session front door.
+fn cube(session: &mut CubeSession, algo: Algorithm, min_sup: u64) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| {
+        let query = session.query().algorithm(algo).min_sup(min_sup);
+        query.run(s).unwrap();
+    })
+}
+
 fn check_all(table: &Table, min_sups: &[u64], label: &str) {
+    let mut session = CubeSession::new(table.clone()).unwrap();
     for &m in min_sups {
         let want_closed = naive_closed_counts(table, m);
         for algo in CLOSED {
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = cube(&mut session, algo, m);
             assert_eq!(
                 got, want_closed,
                 "{algo} closed mismatch on {label} at min_sup={m}"
@@ -32,7 +42,7 @@ fn check_all(table: &Table, min_sups: &[u64], label: &str) {
         }
         let want_iceberg = naive_iceberg_counts(table, m);
         for algo in ICEBERG {
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = cube(&mut session, algo, m);
             assert_eq!(
                 got, want_iceberg,
                 "{algo} iceberg mismatch on {label} at min_sup={m}"
@@ -127,8 +137,9 @@ fn max_dims_supported() {
     // 12 dims exercises mask widths beyond the figures' 10.
     let t = SyntheticSpec::uniform(120, 12, 3, 0.5, 10).generate();
     let want = naive_closed_counts(&t, 2);
+    let mut session = CubeSession::new(t).unwrap();
     for algo in CLOSED {
-        let got = collect_counts(|s| algo.run(&t, 2, s));
+        let got = cube(&mut session, algo, 2);
         assert_eq!(got, want, "{algo}");
     }
 }
@@ -136,9 +147,10 @@ fn max_dims_supported() {
 #[test]
 fn closed_is_subset_of_iceberg_with_equal_counts() {
     let t = SyntheticSpec::uniform(300, 4, 8, 1.0, 11).generate();
+    let mut session = CubeSession::new(t).unwrap();
     for m in [1, 2, 4] {
-        let closed = collect_counts(|s| Algorithm::CCubingStar.run(&t, m, s));
-        let iceberg = collect_counts(|s| Algorithm::Star.run(&t, m, s));
+        let closed = cube(&mut session, Algorithm::CCubingStar, m);
+        let iceberg = cube(&mut session, Algorithm::Star, m);
         for (cell, count) in &closed {
             assert_eq!(
                 iceberg.get(cell),

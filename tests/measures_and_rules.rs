@@ -108,10 +108,15 @@ fn recovery_across_algorithms() {
     // computed by BUC.
     let t = SyntheticSpec::uniform(300, 4, 6, 0.5, 6).generate();
     let min_sup = 2;
+    let mut session = CubeSession::new(t.clone()).unwrap();
     let cube = ClosedCube::collect(t.dims(), min_sup, |sink| {
-        Algorithm::CCubingStarArray.run(&t, min_sup, sink)
+        let query = session.query().algorithm(Algorithm::CCubingStarArray);
+        query.min_sup(min_sup).run(sink).unwrap();
     });
-    let iceberg = ccube_core::sink::collect_counts(|s| Algorithm::Buc.run(&t, min_sup, s));
+    let iceberg = ccube_core::sink::collect_counts(|s| {
+        let query = session.query().algorithm(Algorithm::Buc);
+        query.min_sup(min_sup).run(s).unwrap();
+    });
     for (cell, count) in iceberg {
         assert_eq!(cube.query(&cell), Some(count), "recovery of {cell}");
     }
@@ -131,7 +136,12 @@ fn mined_rules_hold_on_raw_data() {
         rules: Some(dep),
     }
     .generate();
-    let cube = ClosedCube::collect(t.dims(), 1, |sink| Algorithm::CCubingStar.run(&t, 1, sink));
+    let dims = t.dims();
+    let mut session = CubeSession::new(t.clone()).unwrap();
+    let cube = ClosedCube::collect(dims, 1, |sink| {
+        let query = session.query().algorithm(Algorithm::CCubingStar);
+        query.run(sink).unwrap();
+    });
     let (rules, stats) = mine_rules(&cube);
     assert_eq!(stats.rules, rules.len());
     for rule in &rules {
@@ -149,8 +159,11 @@ fn mined_rules_hold_on_raw_data() {
 #[test]
 fn rules_compaction_on_dependent_data() {
     let t = WeatherSpec::new(2_000, 3).generate_dims(5);
-    let cube = ClosedCube::collect(t.dims(), 5, |sink| {
-        Algorithm::CCubingStarArray.run(&t, 5, sink)
+    let dims = t.dims();
+    let mut session = CubeSession::new(t).unwrap();
+    let cube = ClosedCube::collect(dims, 5, |sink| {
+        let query = session.query().algorithm(Algorithm::CCubingStarArray);
+        query.min_sup(5).run(sink).unwrap();
     });
     let (_, stats) = mine_rules(&cube);
     assert!(stats.closed_cells > 0);

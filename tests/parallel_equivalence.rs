@@ -1,32 +1,53 @@
-//! Parallel-vs-sequential equivalence: `Algorithm::run_parallel` must
-//! produce exactly the cells of `Algorithm::run` — identical cell sets and
-//! counts — at every thread count, for every algorithm, across the data
+//! Parallel-vs-sequential equivalence: an engine-routed session query
+//! (`query().engine(config)`) must produce exactly the cells of the plain
+//! sequential run (`Algorithm::run_bound_with` at `bound = 0`) — identical
+//! cell sets and counts — at every thread count, for every algorithm, across the data
 //! shapes that stress the engine differently (Zipf skew concentrates work in
 //! one shard; high cardinality makes many small shards; dependence rules
 //! make closedness reconciliation non-trivial at every level).
 
 use c_cubing::prelude::*;
+use ccube_core::fxhash::FxHashMap;
 use ccube_core::sink::collect_counts;
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
+/// The plain sequential reference run.
+fn sequential(algo: Algorithm, table: &Table, min_sup: u64) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| algo.run_bound_with(table, 0, min_sup, &CountOnly, s))
+}
+
+/// `algo`'s cube through the session front door, on the engine with `cfg`.
+fn engine(
+    session: &mut CubeSession,
+    algo: Algorithm,
+    min_sup: u64,
+    cfg: EngineConfig,
+) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| {
+        let query = session.query().algorithm(algo).min_sup(min_sup);
+        query.engine(cfg).run(s).unwrap();
+    })
+}
+
 fn assert_parallel_equivalence(table: &Table, min_sups: &[u64], label: &str) {
+    let mut session = CubeSession::new(table.clone()).unwrap();
     for algo in Algorithm::ALL {
         for &m in min_sups {
-            let want = collect_counts(|s| algo.run(table, m, s));
+            let want = sequential(algo, table, m);
             for threads in THREADS {
                 // Default config (small tables may take the sequential fast
                 // path — that must be equivalent too) ...
-                let got = collect_counts(|s| algo.run_parallel(table, m, threads, s).unwrap());
+                let cfg = EngineConfig::with_threads(threads);
+                let got = engine(&mut session, algo, m, cfg);
                 assert_eq!(
                     got, want,
                     "{algo} parallel({threads}) != sequential on {label} at min_sup={m}"
                 );
                 // ... and with the fast path disabled, so the sharding and
                 // streaming-merge machinery is always exercised.
-                let cfg = EngineConfig::with_threads(threads).always_sharded();
-                let got = collect_counts(|s| algo.run_with_config(table, m, &cfg, s).unwrap());
+                let got = engine(&mut session, algo, m, cfg.always_sharded());
                 assert_eq!(
                     got, want,
                     "{algo} sharded({threads}) != sequential on {label} at min_sup={m}"
@@ -42,11 +63,13 @@ fn c_cubing_variants_on_zipf_skew() {
     // synthetic data, byte-identical closed-cell sets at 1/2/8 threads.
     for skew in [0.5, 1.0, 2.0] {
         let t = SyntheticSpec::uniform(600, 5, 8, skew, 42).generate();
+        let mut session = CubeSession::new(t.clone()).unwrap();
         for algo in Algorithm::C_CUBING {
             for m in [1u64, 2, 8] {
-                let want = collect_counts(|s| algo.run(&t, m, s));
+                let want = sequential(algo, &t, m);
                 for threads in THREADS {
-                    let got = collect_counts(|s| algo.run_parallel(&t, m, threads, s).unwrap());
+                    let cfg = EngineConfig::with_threads(threads);
+                    let got = engine(&mut session, algo, m, cfg);
                     assert_eq!(got, want, "{algo} S={skew} threads={threads} min_sup={m}");
                 }
             }
@@ -75,9 +98,10 @@ fn recursive_splitting_forced_matches_sequential() {
     // move, for any algorithm, at any thread count.
     for skew in [1.5, 2.0] {
         let t = SyntheticSpec::uniform(400, 4, 6, skew, 91).generate();
+        let mut session = CubeSession::new(t.clone()).unwrap();
         for algo in Algorithm::ALL {
             for m in [1u64, 3] {
-                let want = collect_counts(|s| algo.run(&t, m, s));
+                let want = sequential(algo, &t, m);
                 for threads in THREADS {
                     let cfg = EngineConfig {
                         threads,
@@ -85,7 +109,7 @@ fn recursive_splitting_forced_matches_sequential() {
                         sequential_threshold: 0,
                         ..EngineConfig::default()
                     };
-                    let got = collect_counts(|s| algo.run_with_config(&t, m, &cfg, s).unwrap());
+                    let got = engine(&mut session, algo, m, cfg);
                     assert_eq!(
                         got, want,
                         "{algo} forced-split S={skew} threads={threads} min_sup={m}"
@@ -101,20 +125,13 @@ fn forced_splitting_output_sequence_is_thread_count_invariant() {
     let t = SyntheticSpec::uniform(400, 4, 5, 2.0, 13).generate();
     for algo in [Algorithm::CCubingStar, Algorithm::Star, Algorithm::Buc] {
         let trace = |threads: usize| {
-            let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
-            {
-                let mut sink = FnSink(|cell: &[u32], count: u64, _: &()| {
-                    cells.push((cell.to_vec(), count));
-                });
-                let cfg = EngineConfig {
-                    threads,
-                    split_threshold: 32,
-                    sequential_threshold: 0,
-                    ..EngineConfig::default()
-                };
-                algo.run_with_config(&t, 2, &cfg, &mut sink).unwrap();
-            }
-            cells
+            let cfg = EngineConfig {
+                threads,
+                split_threshold: 32,
+                sequential_threshold: 0,
+                ..EngineConfig::default()
+            };
+            trace_run(algo, &t, 2, &cfg)
         };
         let one = trace(1);
         assert_eq!(one, trace(2), "{algo}");
@@ -187,8 +204,9 @@ fn sharding_ordering_does_not_change_results() {
         rules: None,
     }
     .generate();
+    let mut session = CubeSession::new(t.clone()).unwrap();
     for algo in Algorithm::C_CUBING {
-        let want = collect_counts(|s| algo.run(&t, 2, s));
+        let want = sequential(algo, &t, 2);
         for ordering in [
             DimOrdering::Original,
             DimOrdering::CardinalityDesc,
@@ -200,7 +218,7 @@ fn sharding_ordering_does_not_change_results() {
                 sequential_threshold: 0,
                 ..EngineConfig::default()
             };
-            let got = collect_counts(|s| algo.run_with_config(&t, 2, &cfg, s).unwrap());
+            let got = engine(&mut session, algo, 2, cfg);
             assert_eq!(got, want, "{algo} {ordering:?}");
         }
     }
@@ -209,8 +227,12 @@ fn sharding_ordering_does_not_change_results() {
 #[test]
 fn zero_threads_means_auto() {
     let t = SyntheticSpec::uniform(200, 3, 5, 1.0, 31).generate();
-    let want = collect_counts(|s| Algorithm::CCubingStar.run(&t, 2, s));
-    let got = collect_counts(|s| Algorithm::CCubingStar.run_parallel(&t, 2, 0, s).unwrap());
+    let want = sequential(Algorithm::CCubingStar, &t, 2);
+    let mut session = CubeSession::new(t).unwrap();
+    let got = collect_counts(|s| {
+        let query = session.query().algorithm(Algorithm::CCubingStar).min_sup(2);
+        query.threads(0).run(s).unwrap();
+    });
     assert_eq!(got, want);
 }
 
@@ -234,7 +256,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The decomposition invariant behind the engine: for every dimension
-    /// `d` and every value `v` of `d`, `run_bound` over the `(d, v)` tuple
+    /// `d` and every value `v` of `d`, `run_bound_with` over the `(d, v)` tuple
     /// shard emits exactly the sequential cells binding `d = v`; the union
     /// over all `(d, v)` pairs plus the apex is exactly the sequential
     /// result. Holds for each iceberg host's dedicated bound entry point.
@@ -243,7 +265,7 @@ proptest! {
         let (table, min_sup) = case;
         let dims = table.dims();
         for algo in [Algorithm::Buc, Algorithm::Mm, Algorithm::Star, Algorithm::StarArray] {
-            let want = collect_counts(|s| algo.run(&table, min_sup, s));
+            let want = sequential(algo, &table, min_sup);
             let mut union: ccube_core::fxhash::FxHashMap<Cell, u64> = Default::default();
             for d in 0..dims {
                 let (tids, groups) = table.shard_by_dim(d);
@@ -254,7 +276,8 @@ proptest! {
                         continue;
                     }
                     let view = table.view(&tids[g.range()], &dim_order, dims);
-                    let shard = collect_counts(|s| algo.run_bound(&view, 1, min_sup, s));
+                    let shard =
+                        collect_counts(|s| algo.run_bound_with(&view, 1, min_sup, &CountOnly, s));
                     for (cell, n) in shard {
                         let mut global = vec![STAR; dims];
                         for (i, &v) in cell.values().iter().enumerate() {
@@ -293,13 +316,14 @@ fn trace_run(
     min_sup: u64,
     cfg: &EngineConfig,
 ) -> Vec<(Vec<u32>, u64)> {
+    let mut session = CubeSession::new(table.clone()).unwrap();
     let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
     {
         let mut sink = FnSink(|cell: &[u32], count: u64, _: &()| {
             cells.push((cell.to_vec(), count));
         });
-        algo.run_with_config(table, min_sup, cfg, &mut sink)
-            .unwrap();
+        let query = session.query().algorithm(algo).min_sup(min_sup);
+        query.engine(*cfg).run(&mut sink).unwrap();
     }
     cells
 }
@@ -318,7 +342,7 @@ proptest! {
     fn streaming_merge_is_byte_identical_across_threads(case in arb_bound_case()) {
         let (table, min_sup) = case;
         for algo in Algorithm::ALL {
-            let want_set = collect_counts(|s| algo.run(&table, min_sup, s));
+            let want_set = sequential(algo, &table, min_sup);
             for split_threshold in [8u64, 64, u64::MAX] {
                 let cfg = |threads: usize| EngineConfig {
                     threads,
@@ -356,6 +380,7 @@ proptest! {
 #[test]
 fn streaming_merge_peak_stays_below_full_output() {
     let t = SyntheticSpec::uniform(2_000, 5, 8, 1.5, 44).generate();
+    let mut session = CubeSession::new(t).unwrap();
     for algo in [Algorithm::CCubingStar, Algorithm::Buc, Algorithm::Mm] {
         let cfg = EngineConfig {
             threads: 1,
@@ -364,7 +389,8 @@ fn streaming_merge_peak_stays_below_full_output() {
             ..EngineConfig::default()
         };
         let mut sink = CountingSink::default();
-        let stats = algo.run_with_config_stats(&t, 4, &cfg, &mut sink).unwrap();
+        let query = session.query().algorithm(algo).min_sup(4);
+        let stats = query.engine(cfg).run(&mut sink).unwrap();
         assert!(stats.splits > 0, "{algo}: splitting was not forced");
         assert!(
             stats.peak_buffered_bytes < stats.total_output_bytes,
@@ -383,18 +409,19 @@ fn streaming_merge_peak_stays_below_full_output() {
 fn one_thread_engine_takes_the_fast_path() {
     let t = SyntheticSpec::uniform(5_000, 5, 10, 1.0, 45).generate();
     let algo = Algorithm::CCubingMm;
-    let want = collect_counts(|s| algo.run(&t, 4, s));
+    let want = sequential(algo, &t, 4);
+    let mut session = CubeSession::new(t).unwrap();
     let mut sink = CollectSink::default();
-    let stats = algo
-        .run_with_config_stats(&t, 4, &EngineConfig::with_threads(1), &mut sink)
-        .unwrap();
+    let query = session.query().algorithm(algo).min_sup(4);
+    let stats = query.engine(EngineConfig::with_threads(1)).run(&mut sink);
+    let stats = stats.unwrap();
     assert!(stats.fast_path);
     assert_eq!(sink.counts(), want);
     // Multi-threaded on the same table: sharded, still equivalent.
     let mut sink = CollectSink::default();
-    let stats = algo
-        .run_with_config_stats(&t, 4, &EngineConfig::with_threads(4), &mut sink)
-        .unwrap();
+    let query = session.query().algorithm(algo).min_sup(4);
+    let stats = query.engine(EngineConfig::with_threads(4)).run(&mut sink);
+    let stats = stats.unwrap();
     assert!(!stats.fast_path);
     assert_eq!(sink.counts(), want);
 }
@@ -414,12 +441,17 @@ fn speedup_smoke_20k() {
 
     let mut seq_sink = CountingSink::default();
     let seq_start = Instant::now();
-    algo.run(&t, 8, &mut seq_sink);
+    algo.run_bound_with(&t, 0, 8, &CountOnly, &mut seq_sink);
     let seq_time = seq_start.elapsed();
 
+    let mut session = CubeSession::new(t).unwrap();
     let mut par_sink = CountingSink::default();
     let par_start = Instant::now();
-    algo.run_parallel(&t, 8, 4, &mut par_sink).unwrap();
+    let query = session.query().algorithm(algo).min_sup(8);
+    query
+        .engine(EngineConfig::with_threads(4))
+        .run(&mut par_sink)
+        .unwrap();
     let par_time = par_start.elapsed();
 
     assert_eq!(seq_sink.cells, par_sink.cells);

@@ -1,9 +1,12 @@
 //! Expected-exports guard for the facade crate.
 //!
-//! The PR-5 redesign collapsed a combinatorial `run*` facade into the
-//! session/query API; this test pins the facade's public surface
-//! (`src/lib.rs` + `src/session.rs`) against a checked-in snapshot so a
-//! future PR cannot silently regrow `_with`/`_bound` duplication. It is a
+//! The facade is one front door (`CubeSession::query`) over one dispatch
+//! table (`Algorithm::run_bound_with`), the engine has one entry point
+//! (`run_partitioned`) over one task scheduler (`schedule`), and delta
+//! maintenance runs on that scheduler. This test pins the public surface of
+//! those layers (`src/lib.rs`, `src/session.rs`, and the engine and delta
+//! crate roots) against a checked-in snapshot so a future change cannot
+//! silently regrow a `run*` / `_with` / `_bound` entry-point fan-out. It is a
 //! source-level guard (no rustdoc JSON on the offline toolchain): every
 //! `pub fn/struct/enum/const/trait/type/mod` above the `#[cfg(test)]`
 //! marker is extracted and compared, in order, with
@@ -18,7 +21,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const FACADE_SOURCES: [&str; 2] = ["src/lib.rs", "src/session.rs"];
+const FACADE_SOURCES: [&str; 4] = [
+    "src/lib.rs",
+    "src/session.rs",
+    "crates/engine/src/lib.rs",
+    "crates/delta/src/lib.rs",
+];
 const SNAPSHOT: &str = "tests/expected_public_api.txt";
 
 fn manifest_path(rel: &str) -> PathBuf {
@@ -95,6 +103,10 @@ fn snapshot_covers_the_query_api() {
         "struct TableStats",
         "fn recommend",
         "enum Algorithm",
+        "fn run_bound_with",
+        "fn run_partitioned",
+        "fn schedule",
+        "struct MaterializedCube",
     ] {
         assert!(expected.contains(needle), "snapshot lost `{needle}`");
     }

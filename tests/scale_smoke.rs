@@ -4,12 +4,12 @@
 //! pools, masking under pressure).
 
 use c_cubing::prelude::*;
-use ccube_core::sink::CountingSink;
 
 fn counts(algo: Algorithm, table: &Table, min_sup: u64) -> (u64, u64) {
-    let mut sink = CountingSink::default();
-    algo.run(table, min_sup, &mut sink);
-    (sink.cells, sink.count_sum)
+    let mut session = CubeSession::new(table.clone()).unwrap();
+    let query = session.query().algorithm(algo).min_sup(min_sup);
+    let stats = query.stats().unwrap();
+    (stats.cells, stats.count_sum)
 }
 
 fn assert_agreement(table: &Table, min_sup: u64, label: &str) {

@@ -5,7 +5,8 @@
 //! * two identical queries on one session return **byte-identical** emission
 //!   sequences — cache reuse is invisible;
 //! * [`CellStream`] equals [`CollectSink`] across threads {1, 2, 8};
-//! * the low-level `Algorithm::run*` path and the query path agree.
+//! * the low-level `Algorithm::run_bound_with` path and the query path
+//!   agree, sequential and engine-routed.
 
 use c_cubing::prelude::*;
 use ccube_core::fxhash::FxHashMap;
@@ -48,7 +49,7 @@ proptest! {
         let filtered = table.view(&tids, &dim_order, table.dims());
         let mut session = CubeSession::new(table).unwrap();
         for algo in Algorithm::ALL {
-            let want = collect_counts(|s| algo.run(&filtered, min_sup, s));
+            let want = collect_counts(|s| algo.run_bound_with(&filtered, 0, min_sup, &CountOnly, s));
             let got = collect_counts(|s| {
                 session.query().min_sup(min_sup).algorithm(algo).slice(d, v).run(s).unwrap();
             });
@@ -68,7 +69,7 @@ proptest! {
         let sub = table.view(&tids, &dim_order, dim_order.len());
         let mut session = CubeSession::new(table).unwrap();
         for algo in [Algorithm::Buc, Algorithm::CCubingMm, Algorithm::CCubingStarArray] {
-            let want = collect_counts(|s| algo.run(&sub, min_sup, s));
+            let want = collect_counts(|s| algo.run_bound_with(&sub, 0, min_sup, &CountOnly, s));
             let got = collect_counts(|s| {
                 session
                     .query()
@@ -178,29 +179,27 @@ fn stream_equals_collect_sink_across_threads() {
 
 #[test]
 fn low_level_path_agrees_with_query_path() {
-    // The acceptance clause "all pre-existing Algorithm::run* calls compile
-    // unchanged and produce identical output": spot-check every run* shape
-    // against the query layer.
+    // The one low-level entry (plain sequential dispatch, unpooled) against
+    // the query layer: sequential, engine with the default config, and the
+    // engine forced to shard.
     let table = SyntheticSpec::uniform(400, 4, 5, 0.5, 21).generate();
     let mut session = CubeSession::new(table.clone()).unwrap();
     for algo in Algorithm::ALL {
-        let low = collect_counts(|s| algo.run(&table, 2, s));
+        let low = collect_counts(|s| algo.run_bound_with(&table, 0, 2, &CountOnly, s));
         let query = collect_counts(|s| {
             session.query().min_sup(2).algorithm(algo).run(s).unwrap();
         });
         assert_eq!(query, low, "{algo} run");
-        let par = collect_counts(|s| algo.run_parallel(&table, 2, 2, s).unwrap());
-        assert_eq!(par, low, "{algo} run_parallel");
-        let cfg = collect_counts(|s| {
-            algo.run_with_config(
-                &table,
-                2,
-                &EngineConfig::with_threads(2).always_sharded(),
-                s,
-            )
-            .unwrap()
-        });
-        assert_eq!(cfg, low, "{algo} run_with_config");
+        for (cfg, label) in [
+            (EngineConfig::with_threads(2), "engine"),
+            (EngineConfig::with_threads(2).always_sharded(), "sharded"),
+        ] {
+            let par = collect_counts(|s| {
+                let query = session.query().min_sup(2).algorithm(algo);
+                query.engine(cfg).run(s).unwrap();
+            });
+            assert_eq!(par, low, "{algo} {label}");
+        }
     }
 }
 
@@ -208,7 +207,11 @@ fn low_level_path_agrees_with_query_path() {
 fn query_stats_terminal_counts_cells() {
     let table = SyntheticSpec::uniform(300, 3, 5, 0.0, 2).generate();
     let mut session = CubeSession::new(table.clone()).unwrap();
-    let want = collect_counts(|s| session.recommend(2).run(&table, 2, s));
+    let want = collect_counts(|s| {
+        session
+            .recommend(2)
+            .run_bound_with(&table, 0, 2, &CountOnly, s)
+    });
     let stats = session.query().min_sup(2).stats().unwrap();
     assert_eq!(stats.cells, want.len() as u64);
     assert_eq!(stats.count_sum, want.values().sum::<u64>());
