@@ -19,7 +19,7 @@ use crate::proto::{
     self, CellBlock, DoneStats, FrameRead, ProtoError, QueryRequest, Request, Response, TableInfo,
     WireStatus, RETRY_AFTER_MAX, RETRY_AFTER_MIN,
 };
-use std::io::Write;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -144,7 +144,9 @@ pub enum QueryOutcome {
 
 /// A blocking connection to a cube server.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a buffer: the server coalesces a reply's
+    /// frames into few writes, so one `read` usually yields many frames.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -167,39 +169,49 @@ impl Client {
         )
     }
 
-    /// Connect with every timeout explicit.
+    /// Connect with every timeout explicit. `TCP_NODELAY` is set so a
+    /// request frame leaves at once instead of waiting out Nagle's
+    /// algorithm behind the previous reply's ACK.
     pub fn connect_config(addr: SocketAddr, config: &ClientConfig) -> Result<Client, ClientError> {
         let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)
             .map_err(|e| io_error("connect", e))?;
+        stream.set_nodelay(true).map_err(ClientError::Io)?;
         stream
             .set_read_timeout(Some(config.read_timeout))
             .map_err(ClientError::Io)?;
         stream
             .set_write_timeout(Some(config.write_timeout))
             .map_err(ClientError::Io)?;
-        Ok(Client { stream })
+        Ok(Client {
+            reader: BufReader::with_capacity(proto::WIRE_BUF, stream),
+        })
     }
 
-    /// The underlying stream (tests use it to misbehave on purpose).
+    /// The underlying stream (tests use it to misbehave on purpose). Only
+    /// valid while no received bytes wait in the read buffer: reading the
+    /// raw stream would silently skip them, so use [`Client::recv`].
     pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        debug_assert!(
+            self.reader.buffer().is_empty(),
+            "{} received bytes are still buffered; read them with Client::recv",
+            self.reader.buffer().len()
+        );
+        self.reader.get_mut()
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, &proto::encode_request(req))
-            .map_err(|e| io_error("write", e))?;
-        self.stream.flush().map_err(|e| io_error("write", e))?;
-        Ok(())
+        self.send_raw(&proto::encode_request(req))
     }
 
     /// Send raw payload bytes as one frame (malformed-input tests).
     pub fn send_raw(&mut self, payload: &[u8]) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, payload).map_err(|e| io_error("write", e))?;
-        Ok(())
+        proto::write_frame(self.reader.get_mut(), payload).map_err(|e| io_error("write", e))
     }
 
-    fn recv(&mut self) -> Result<Response, ClientError> {
-        match proto::read_frame(&mut self.stream).map_err(|e| io_error("read", e))? {
+    /// Read and decode the next frame the server sent (tests that drive
+    /// the protocol frame by frame use this after [`Client::send_raw`]).
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
+        match proto::read_frame(&mut self.reader).map_err(|e| io_error("read", e))? {
             FrameRead::Frame(payload) => Ok(proto::decode_response(&payload)?),
             FrameRead::Eof => Err(ClientError::Disconnected),
             FrameRead::Malformed(e) => Err(ClientError::Proto(e)),

@@ -4,7 +4,9 @@
 //! The crate layers three things on top of the in-process query API:
 //!
 //! * [`proto`] — a length-prefixed binary wire protocol (frames, typed
-//!   statuses, bounds-checked decoding);
+//!   statuses, bounds-checked decoding) and the per-connection
+//!   [`FrameWriter`](proto::FrameWriter) that groups a reply's frames into
+//!   few socket writes;
 //! * [`admission`] — a bounded concurrency gate with a deadline-aware wait
 //!   queue, a global memory accountant fed by per-shape
 //!   [`peak_buffered_bytes`](ccube_engine::EngineStats::peak_buffered_bytes)

@@ -519,6 +519,24 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Encode a response into a frame payload (opcode + body).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Append `resp` to `out` as one whole frame (header + payload). The
+/// payload is encoded in place and the length header back-patched, so no
+/// intermediate payload `Vec` is built or copied. The bytes are exactly
+/// [`write_frame`] of [`encode_response`].
+pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    put_response(out, resp);
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_PAYLOAD);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Pong => out.push(OP_PONG),
         Response::Batch {
@@ -527,59 +545,59 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             version,
             block,
         } => {
+            out.reserve(31 + 4 * block.values.len() + 8 * block.counts.len());
             out.push(OP_BATCH);
-            put_u64(&mut out, *query_id);
-            put_u64(&mut out, *seq);
-            put_u64(&mut out, *version);
-            put_u16(&mut out, block.dims);
-            put_u32(&mut out, block.counts.len() as u32);
+            put_u64(out, *query_id);
+            put_u64(out, *seq);
+            put_u64(out, *version);
+            put_u16(out, block.dims);
+            put_u32(out, block.counts.len() as u32);
             for v in &block.values {
-                put_u32(&mut out, *v);
+                put_u32(out, *v);
             }
             for c in &block.counts {
-                put_u64(&mut out, *c);
+                put_u64(out, *c);
             }
         }
         Response::Done(d) => {
             out.push(OP_DONE);
-            put_u64(&mut out, d.query_id);
-            put_u64(&mut out, d.version);
-            put_u64(&mut out, d.cells);
-            put_u64(&mut out, d.elapsed_micros);
-            put_u64(&mut out, d.peak_buffered_bytes);
-            put_u64(&mut out, d.tasks);
+            put_u64(out, d.query_id);
+            put_u64(out, d.version);
+            put_u64(out, d.cells);
+            put_u64(out, d.elapsed_micros);
+            put_u64(out, d.peak_buffered_bytes);
+            put_u64(out, d.tasks);
             out.push(u8::from(d.fast_path));
         }
         Response::Error { status, detail } => {
             out.push(OP_ERROR);
-            put_u16(&mut out, *status as u16);
-            put_str(&mut out, detail);
+            put_u16(out, *status as u16);
+            put_str(out, detail);
         }
         Response::Overloaded { retry_after_ms } => {
             out.push(OP_OVERLOADED);
-            put_u64(&mut out, *retry_after_ms);
+            put_u64(out, *retry_after_ms);
         }
         Response::TableList(tables) => {
             out.push(OP_TABLE_LIST);
-            put_u16(&mut out, tables.len().min(u16::MAX as usize) as u16);
+            put_u16(out, tables.len().min(u16::MAX as usize) as u16);
             for t in tables.iter().take(u16::MAX as usize) {
-                put_str(&mut out, &t.name);
-                put_u64(&mut out, t.rows);
-                put_u32(&mut out, t.dims);
-                put_u64(&mut out, t.version);
+                put_str(out, &t.name);
+                put_u64(out, t.rows);
+                put_u32(out, t.dims);
+                put_u64(out, t.version);
             }
         }
         Response::Heartbeat { query_id } => {
             out.push(OP_HEARTBEAT);
-            put_u64(&mut out, *query_id);
+            put_u64(out, *query_id);
         }
         Response::Ingested { version, rows } => {
             out.push(OP_INGESTED);
-            put_u64(&mut out, *version);
-            put_u64(&mut out, *rows);
+            put_u64(out, *version);
+            put_u64(out, *rows);
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -819,6 +837,62 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
     w.write_all(&buf)
+}
+
+/// Size of one connection's wire buffers: the server's [`FrameWriter`]
+/// writes its buffer out once this many bytes are waiting, and the client
+/// reads through a buffer this large. A small query's whole reply fits in
+/// one write; the cost per connection stays fixed.
+pub const WIRE_BUF: usize = 64 * 1024;
+
+/// One connection's server→client frame path. Frames are encoded straight
+/// into one reused buffer and reach the sink only at flush points — an
+/// explicit [`FrameWriter::flush`], or [`FrameWriter::push`] once
+/// [`WIRE_BUF`] bytes are waiting — so a reply of many small frames leaves
+/// in a few large writes rather than one small write per frame. The bytes
+/// and frame boundaries are exactly those of [`write_frame`] per frame;
+/// only their grouping into writes differs.
+pub struct FrameWriter<W: Write> {
+    sink: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// A writer with an empty buffer in front of `sink`.
+    pub fn new(sink: W) -> FrameWriter<W> {
+        FrameWriter {
+            sink,
+            buf: Vec::new(),
+        }
+    }
+
+    /// True when no frame is waiting for a flush.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Queue one frame, writing the buffer out if it reached [`WIRE_BUF`].
+    /// Returns whether bytes reached the sink.
+    pub fn push(&mut self, resp: &Response) -> std::io::Result<bool> {
+        encode_response_into(&mut self.buf, resp);
+        if self.buf.len() >= WIRE_BUF {
+            self.flush()
+        } else {
+            Ok(false)
+        }
+    }
+
+    /// Write out every queued frame. Returns whether there was anything to
+    /// write. The buffer is emptied even on error: after a failed write the
+    /// peer's view of the stream is unknown, so nothing more can follow.
+    pub fn flush(&mut self) -> std::io::Result<bool> {
+        if self.buf.is_empty() {
+            return Ok(false);
+        }
+        let written = self.sink.write_all(&self.buf);
+        self.buf.clear();
+        written.map(|()| true)
+    }
 }
 
 /// Outcome of [`read_frame`].

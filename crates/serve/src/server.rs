@@ -19,8 +19,8 @@
 
 use crate::admission::{AdmissionConfig, Gate, GateMetrics, ShapeHistory, Shed};
 use crate::proto::{
-    self, wire_status, CellBlock, DoneStats, ProtoError, QueryRequest, Request, Response,
-    TableInfo, WireStatus,
+    self, wire_status, CellBlock, DoneStats, FrameWriter, ProtoError, QueryRequest, Request,
+    Response, TableInfo, WireStatus,
 };
 use c_cubing::{CubeSession, QueryHandle, StreamPoll};
 use ccube_core::faults;
@@ -79,7 +79,7 @@ pub struct ServerConfig {
     /// Read timeout *inside* a frame: a peer that stalls mid-frame longer
     /// than this is treated as gone.
     pub frame_read_timeout: Duration,
-    /// Write timeout per frame: a reader that stalls longer than this
+    /// Timeout per socket write: a reader that stalls longer than this
     /// (slow-consumer pathology) gets its query cancelled and the
     /// connection closed.
     pub write_timeout: Duration,
@@ -447,7 +447,7 @@ fn accept_loop(
 /// retryable error frame instead of hanging its connection forever.
 ///
 /// False-reap guards: a healthy-but-back-pressured pump bumps the epoch on
-/// every successful batch write, and the effective timeout is at least
+/// every successful flush of batches, and the effective timeout is at least
 /// `write_timeout + 2 × watchdog_interval`, so a pump parked in one slow
 /// socket write cannot freeze the epoch long enough to be reaped.
 fn watchdog_loop(shared: &Shared) {
@@ -498,14 +498,14 @@ fn watchdog_loop(shared: &Shared) {
 /// (including injected ones), converts them into a best-effort `Internal`
 /// error frame, and closes the connection. The process and every other
 /// connection stay up.
-fn run_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.config.idle_tick));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(&mut stream, shared)));
+fn run_connection(stream: TcpStream, shared: &Shared) {
+    let _ = configure_stream(&stream, &shared.config);
+    let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(&stream, shared)));
     if outcome.is_err() {
         shared.panics_contained.fetch_add(1, Ordering::Relaxed);
-        let _ = send(
-            &mut stream,
+        // A fresh writer: the unwound one's buffer may end mid-frame.
+        let _ = answer(
+            &mut FrameWriter::new(&stream),
             &Response::Error {
                 status: WireStatus::Internal,
                 detail: "internal error; connection closed".to_string(),
@@ -513,6 +513,21 @@ fn run_connection(mut stream: TcpStream, shared: &Shared) {
         );
     }
 }
+
+/// Socket options for an accepted connection. `TCP_NODELAY` is set because
+/// the connection's [`FrameWriter`] already groups a reply into a few large
+/// writes: with Nagle's algorithm on, the last short write of each reply
+/// would wait in the kernel for the client's delayed ACK (40 ms on Linux)
+/// although the answer is complete.
+fn configure_stream(stream: &TcpStream, config: &ServerConfig) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(config.idle_tick))?;
+    stream.set_write_timeout(Some(config.write_timeout))
+}
+
+/// The connection's only path to the socket: every server→client frame is
+/// queued here and leaves at the writer's flush points.
+type Out<'a> = FrameWriter<&'a TcpStream>;
 
 /// What a served request means for the connection.
 enum Flow {
@@ -522,7 +537,8 @@ enum Flow {
     Close,
 }
 
-fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
+fn serve_connection(stream: &TcpStream, shared: &Shared) {
+    let mut out = FrameWriter::new(stream);
     loop {
         let payload = match read_request_frame(stream, shared) {
             ReadOutcome::Frame(p) => p,
@@ -530,8 +546,8 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
             ReadOutcome::Malformed(e) => {
                 // Framing itself is broken: no later frame boundary can be
                 // trusted, so answer once and hang up.
-                let _ = send(
-                    stream,
+                let _ = answer(
+                    &mut out,
                     &Response::Error {
                         status: WireStatus::Protocol,
                         detail: e.to_string(),
@@ -544,21 +560,15 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
             Err(e) => {
                 // The frame was well-delimited but its body is invalid;
                 // framing is still sound, so answer and keep serving.
-                match send(
-                    stream,
+                answer(
+                    &mut out,
                     &Response::Error {
                         status: WireStatus::Protocol,
                         detail: e.to_string(),
                     },
-                ) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                }
+                )
             }
-            Ok(Request::Ping) => match send(stream, &Response::Pong) {
-                Ok(()) => Flow::Continue,
-                Err(_) => Flow::Close,
-            },
+            Ok(Request::Ping) => answer(&mut out, &Response::Pong),
             Ok(Request::Tables) => {
                 let tables = shared
                     .tables
@@ -570,21 +580,18 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
                         version: t.version.load(Ordering::Relaxed),
                     })
                     .collect();
-                match send(stream, &Response::TableList(tables)) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                }
+                answer(&mut out, &Response::TableList(tables))
             }
-            Ok(Request::Query(q)) => serve_query(stream, shared, &q, None),
+            Ok(Request::Query(q)) => serve_query(&mut out, shared, &q, None),
             Ok(Request::Resume {
                 query_id,
                 next_seq,
                 query,
             }) => {
                 shared.resumed.fetch_add(1, Ordering::Relaxed);
-                serve_query(stream, shared, &query, Some((query_id, next_seq)))
+                serve_query(&mut out, shared, &query, Some((query_id, next_seq)))
             }
-            Ok(Request::Ingest { table, rows }) => serve_ingest(stream, shared, &table, &rows),
+            Ok(Request::Ingest { table, rows }) => serve_ingest(&mut out, shared, &table, &rows),
         };
         if matches!(flow, Flow::Close) {
             return;
@@ -608,7 +615,7 @@ fn timed_out(e: &std::io::Error) -> bool {
 /// `idle_tick` so an idle connection notices `stop`; once the first header
 /// byte arrives the peer must deliver the rest within `frame_read_timeout`
 /// or be treated as stalled (mid-frame torn writes also land here).
-fn read_request_frame(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
+fn read_request_frame(mut stream: &TcpStream, shared: &Shared) -> ReadOutcome {
     if faults::inject_io("serve.frame.read").is_err() {
         return ReadOutcome::Close;
     }
@@ -646,7 +653,7 @@ fn read_request_frame(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
 /// through timeout ticks until `deadline`, so one slow-but-live peer is
 /// fine while a stalled one is cut off.
 fn read_exact_until(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     mut buf: &mut [u8],
     deadline: Instant,
 ) -> std::io::Result<()> {
@@ -665,9 +672,16 @@ fn read_exact_until(
     Ok(())
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    faults::inject_io("serve.frame.write")?;
-    proto::write_frame(stream, &proto::encode_response(resp))
+/// Queue one frame on the connection's writer; returns whether the writer
+/// flushed. The `serve.frame.write` fault kills the connection at this
+/// frame: the frames queued before it still reach the peer, as they would
+/// if every frame were written on its own.
+fn push(out: &mut Out<'_>, resp: &Response) -> std::io::Result<bool> {
+    if let Err(e) = faults::inject_io("serve.frame.write") {
+        let _ = out.flush();
+        return Err(e);
+    }
+    out.push(resp)
 }
 
 /// Cells per `Batch` frame (64 cells × (dims×4 + 8) bytes stays well under
@@ -696,7 +710,7 @@ fn shape_hash(q: &QueryRequest) -> u64 {
 /// re-executed in full — determinism makes the replayed stream identical —
 /// and the first `next_seq` batches are simply not written to the socket.
 fn serve_query(
-    stream: &mut TcpStream,
+    out: &mut Out<'_>,
     shared: &Shared,
     q: &QueryRequest,
     resume: Option<(u64, u64)>,
@@ -704,7 +718,7 @@ fn serve_query(
     let started = Instant::now();
     let Some(table) = shared.find_table(&q.table) else {
         return answer(
-            stream,
+            out,
             &Response::Error {
                 status: WireStatus::UnknownTable,
                 detail: format!("table {:?} is not served", q.table),
@@ -723,7 +737,7 @@ fn serve_query(
         Ok(p) => p,
         Err(Shed::Draining) => {
             return answer(
-                stream,
+                out,
                 &Response::Error {
                     status: WireStatus::ShuttingDown,
                     detail: "server is draining".to_string(),
@@ -732,7 +746,7 @@ fn serve_query(
         }
         Err(Shed::QueueFull | Shed::Timeout) => {
             return answer(
-                stream,
+                out,
                 &Response::Overloaded {
                     retry_after_ms: shared.gate.retry_after().as_millis() as u64,
                 },
@@ -744,7 +758,7 @@ fn serve_query(
     let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
     if remaining.is_some_and(|r| r.is_zero()) {
         return answer(
-            stream,
+            out,
             &Response::Error {
                 status: WireStatus::DeadlineExceeded,
                 detail: CubeError::DeadlineExceeded.to_string(),
@@ -765,7 +779,7 @@ fn serve_query(
         let version = table.version.load(Ordering::Relaxed);
         if q.version != 0 && q.version != version {
             return answer(
-                stream,
+                out,
                 &Response::Error {
                     status: WireStatus::VersionMismatch,
                     detail: format!(
@@ -809,7 +823,7 @@ fn serve_query(
             // Builder misuse (bad dimension, zero min_sup, ...): typed
             // error before any thread was spawned.
             return answer(
-                stream,
+                out,
                 &Response::Error {
                     status: wire_status(&e),
                     detail: e.to_string(),
@@ -827,19 +841,32 @@ fn serve_query(
     let mut block = CellBlock::default();
     let mut seq = 0u64;
     let mut total_cells = 0u64;
-    let mut last_send = Instant::now();
+    // When bytes last left for the client: the keepalive clock.
+    let mut last_flush = Instant::now();
     loop {
-        // Keepalive covers both idle streams (slow query, back-pressure)
-        // and the busy-but-silent skip phase of a resume.
-        if last_send.elapsed() >= shared.config.heartbeat_interval {
-            if send(stream, &Response::Heartbeat { query_id }).is_err() {
+        // Keepalive covers idle streams (slow query, back-pressure) and the
+        // busy-but-silent skip phase of a resume. Queued batches go out in
+        // place of a beat; only a stream with nothing queued gets a
+        // `Heartbeat`, which shows liveness but is not progress.
+        if last_flush.elapsed() >= shared.config.heartbeat_interval {
+            let beat = out.is_empty();
+            let sent = if beat {
+                push(out, &Response::Heartbeat { query_id }).and_then(|_| out.flush())
+            } else {
+                out.flush()
+            };
+            if sent.is_err() {
                 drop(cells);
                 return Flow::Close;
             }
-            shared.heartbeats.fetch_add(1, Ordering::Relaxed);
-            last_send = Instant::now();
+            if beat {
+                shared.heartbeats.fetch_add(1, Ordering::Relaxed);
+            } else {
+                handle.note_progress();
+            }
+            last_flush = Instant::now();
         }
-        match cells.poll_next(shared.config.idle_tick) {
+        let wrote = match cells.poll_next(shared.config.idle_tick) {
             StreamPoll::Item((cell, count, ())) => {
                 if block.is_empty() {
                     // Projected queries emit cells over the kept dimensions
@@ -847,42 +874,48 @@ fn serve_query(
                     block.dims = cell.values().len() as u16;
                 }
                 block.push(cell.values(), count);
-                if block.len() >= BATCH_CELLS {
-                    total_cells += block.len() as u64;
-                    let this_seq = seq;
-                    seq += 1;
-                    let full = std::mem::take(&mut block);
-                    if this_seq < skip {
-                        // Already delivered before the disconnect: recompute,
-                        // don't resend. Determinism makes the boundaries line
-                        // up with the interrupted stream's.
-                        continue;
-                    }
-                    if send(
-                        stream,
-                        &Response::Batch {
-                            query_id,
-                            seq: this_seq,
-                            version,
-                            block: full,
-                        },
-                    )
-                    .is_err()
-                    {
-                        // Dead or stalled reader: dropping `cells` cancels
-                        // the producing run and joins its thread before we
-                        // return.
-                        drop(cells);
-                        return Flow::Close;
-                    }
-                    // A successful write is progress even while the engine
-                    // is back-pressured by this very socket.
-                    handle.note_progress();
-                    last_send = Instant::now();
+                if block.len() < BATCH_CELLS {
+                    continue;
                 }
+                total_cells += block.len() as u64;
+                let this_seq = seq;
+                seq += 1;
+                let full = std::mem::take(&mut block);
+                if this_seq < skip {
+                    // Already delivered before the disconnect: recompute,
+                    // don't resend. Determinism makes the boundaries line
+                    // up with the interrupted stream's.
+                    continue;
+                }
+                push(
+                    out,
+                    &Response::Batch {
+                        query_id,
+                        seq: this_seq,
+                        version,
+                        block: full,
+                    },
+                )
             }
-            StreamPoll::Idle => {}
+            // The producer paused: what is queued goes out now instead of
+            // waiting for more.
+            StreamPoll::Idle => out.flush(),
             StreamPoll::End => break,
+        };
+        match wrote {
+            Ok(false) => {}
+            // A flush of batches is progress even while the engine is
+            // back-pressured by this very socket.
+            Ok(true) => {
+                handle.note_progress();
+                last_flush = Instant::now();
+            }
+            // Dead or stalled reader: dropping `cells` cancels the
+            // producing run and joins its thread before we return.
+            Err(_) => {
+                drop(cells);
+                return Flow::Close;
+            }
         }
     }
     let outcome = cells.finish();
@@ -892,8 +925,8 @@ fn serve_query(
                 total_cells += block.len() as u64;
                 let this_seq = seq;
                 if this_seq >= skip
-                    && send(
-                        stream,
+                    && push(
+                        out,
                         &Response::Batch {
                             query_id,
                             seq: this_seq,
@@ -909,8 +942,9 @@ fn serve_query(
             let elapsed = started.elapsed();
             shared.history.record(shape, stats.peak_buffered_bytes);
             shared.gate.record_service(elapsed);
+            // The tail batch leaves in the same write as `Done`.
             answer(
-                stream,
+                out,
                 &Response::Done(DoneStats {
                     query_id,
                     version,
@@ -929,7 +963,7 @@ fn serve_query(
             // drop the partial tail batch and report the typed error.
             shared.gate.record_service(started.elapsed());
             answer(
-                stream,
+                out,
                 &Response::Error {
                     status: wire_status(&e),
                     detail: e.to_string(),
@@ -945,10 +979,10 @@ fn serve_query(
 /// either the old table at the old version or the new table at the new
 /// one, never a half-applied state. On error nothing was appended and the
 /// version is unchanged.
-fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32]) -> Flow {
+fn serve_ingest(out: &mut Out<'_>, shared: &Shared, name: &str, rows: &[u32]) -> Flow {
     let Some(table) = shared.find_table(name) else {
         return answer(
-            stream,
+            out,
             &Response::Error {
                 status: WireStatus::UnknownTable,
                 detail: format!("table {name:?} is not served"),
@@ -966,9 +1000,9 @@ fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32
         })
     };
     match outcome {
-        Ok((version, rows)) => answer(stream, &Response::Ingested { version, rows }),
+        Ok((version, rows)) => answer(out, &Response::Ingested { version, rows }),
         Err(e) => answer(
-            stream,
+            out,
             &Response::Error {
                 status: wire_status(&e),
                 detail: e.to_string(),
@@ -977,10 +1011,34 @@ fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32
     }
 }
 
-/// Send a terminal response; a failed write closes the connection.
-fn answer(stream: &mut TcpStream, resp: &Response) -> Flow {
-    match send(stream, resp) {
-        Ok(()) => Flow::Continue,
+/// Send the frame that ends an exchange: it leaves together with every
+/// frame queued before it. A failed write closes the connection.
+fn answer(out: &mut Out<'_>, resp: &Response) -> Flow {
+    match push(out, resp).and_then(|_| out.flush()) {
+        Ok(_) => Flow::Continue,
         Err(_) => Flow::Close,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Without `TCP_NODELAY` every reply's tail waits for the client's
+    /// delayed ACK, so the option is pinned on a real accepted socket.
+    #[test]
+    fn accepted_streams_get_nodelay_and_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle on");
+        let config = ServerConfig::default();
+        configure_stream(&accepted, &config).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(config.idle_tick));
+        assert_eq!(
+            accepted.write_timeout().unwrap(),
+            Some(config.write_timeout)
+        );
     }
 }

@@ -37,14 +37,41 @@ fn armed() -> bool {
     std::env::var("CCUBE_CHAOS").is_ok_and(|v| v == "1")
 }
 
-/// Live thread count of this process (Linux), for leak accounting.
+/// The tests in this file, by name. libtest runs each test on a thread
+/// named after it.
+fn test_names() -> Vec<&'static str> {
+    include_str!("chaos.rs")
+        .split("#[test]\nfn ")
+        .skip(1)
+        .filter_map(|rest| rest.split('(').next())
+        .collect()
+}
+
+/// A thread name as the kernel keeps it (`comm`, at most 15 bytes).
+fn comm(name: &str) -> &str {
+    &name[..name.len().min(15)]
+}
+
+/// Live threads of this process (Linux), for leak accounting, minus the
+/// harness threads of the *other* tests in this file: libtest may already
+/// have spawned the next test's thread, blocked on `SERIAL`, between a
+/// baseline and its check. Everything else counts exactly. An unnamed
+/// thread carries its creator's name, so threads spawned by the running
+/// test, the server or the engine are never mistaken for the harness.
 fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
+    let current = std::thread::current();
+    let own = comm(current.name().unwrap_or(""));
+    let harness: Vec<&str> = test_names()
+        .into_iter()
+        .map(comm)
+        .filter(|name| *name != own)
+        .collect();
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        // A thread that exited mid-scan has no `comm` left: it is not live.
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| !harness.contains(&name.trim_end_matches('\n')))
+        .count()
 }
 
 /// Wait for the process thread count to settle back to (at most) the

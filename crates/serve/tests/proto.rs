@@ -5,10 +5,13 @@
 
 use c_cubing::Algorithm;
 use ccube_serve::proto::{
-    self, CellBlock, DoneStats, FrameRead, ProtoError, QueryRequest, Request, Response, TableInfo,
-    WireStatus,
+    self, CellBlock, DoneStats, FrameRead, FrameWriter, ProtoError, QueryRequest, Request,
+    Response, TableInfo, WireStatus, WIRE_BUF,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::rc::Rc;
 
 fn roundtrip_request(req: &Request) -> Request {
     let payload = proto::encode_request(req);
@@ -216,6 +219,187 @@ proptest! {
         let cut = cut.min(full.len().saturating_sub(1));
         let err = proto::decode_request(&full[..cut]);
         prop_assert!(err.is_err());
+    }
+}
+
+// ------------------------------------------------ coalesced write/read path
+
+/// One arbitrary server→client frame: `kind` picks the family, `n` sizes
+/// it. A 1000-cell `Batch` is up to ~40 KB, so a few dozen frames cross
+/// [`WIRE_BUF`] and make the writer flush on its own.
+fn arbitrary_response(kind: u8, a: u64, n: usize, dims: u16) -> Response {
+    match kind % 7 {
+        0 | 1 => Response::Batch {
+            query_id: a,
+            seq: n as u64,
+            version: a >> 32,
+            block: CellBlock {
+                dims,
+                values: (0..n * dims as usize)
+                    .map(|i| (a as u32).wrapping_add(i as u32))
+                    .collect(),
+                counts: (0..n as u64).map(|i| a ^ i).collect(),
+            },
+        },
+        2 => Response::Heartbeat { query_id: a },
+        3 => Response::Done(DoneStats {
+            query_id: a,
+            version: 1,
+            cells: n as u64,
+            elapsed_micros: a >> 8,
+            peak_buffered_bytes: a >> 4,
+            tasks: n as u64,
+            fast_path: a.is_multiple_of(2),
+        }),
+        4 => Response::Error {
+            status: WireStatus::Internal,
+            detail: "e".repeat(n),
+        },
+        5 => Response::Overloaded { retry_after_ms: a },
+        _ => Response::Pong,
+    }
+}
+
+/// A socket send side that accepts at most `lens[i]` bytes per `write`
+/// call (cycling) into a shared byte log.
+struct ShortWrites {
+    bytes: Rc<RefCell<Vec<u8>>>,
+    lens: Vec<usize>,
+    calls: usize,
+}
+
+impl Write for ShortWrites {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.lens[self.calls % self.lens.len()]);
+        self.calls += 1;
+        self.bytes.borrow_mut().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A socket receive side that hands out at most `lens[i]` bytes per `read`
+/// call (cycling): arbitrary segmentation of the byte stream.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    lens: Vec<usize>,
+    calls: usize,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf
+            .len()
+            .min(self.bytes.len())
+            .min(self.lens[self.calls % self.lens.len()]);
+        self.calls += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// `wire` read through a `read_buf`-byte buffer over arbitrary short reads.
+fn buffered(wire: &[u8], read_lens: Vec<usize>, read_buf: usize) -> impl Read + '_ {
+    BufReader::with_capacity(
+        read_buf,
+        ShortReads {
+            bytes: wire,
+            lens: read_lens,
+            calls: 0,
+        },
+    )
+}
+
+proptest! {
+    // The writer changes only how frames are grouped into writes: whatever
+    // the flush points and however the bytes are split on the way out and
+    // back in, the buffered reader sees exactly the frames that one
+    // `write_frame` per frame would have sent.
+    #[test]
+    fn coalesced_frames_read_back_identically(
+        frames in proptest::collection::vec(
+            ((0u8..7, any::<u64>()), (0usize..1000, 1u16..8, 0u8..24)),
+            1..64,
+        ),
+        write_lens in proptest::collection::vec(1usize..5000, 1..8),
+        read_lens in proptest::collection::vec(1usize..5000, 1..8),
+        read_buf in 1usize..70_000,
+    ) {
+        let sent: Vec<Response> = frames
+            .iter()
+            .map(|&((kind, a), (n, dims, _))| arbitrary_response(kind, a, n, dims))
+            .collect();
+        let wire = Rc::new(RefCell::new(Vec::new()));
+        let mut out = FrameWriter::new(ShortWrites {
+            bytes: Rc::clone(&wire),
+            lens: write_lens,
+            calls: 0,
+        });
+        let mut expected = Vec::new();
+        for (resp, &(_, (.., flush_roll))) in sent.iter().zip(&frames) {
+            let written = wire.borrow().len();
+            proto::write_frame(&mut expected, &proto::encode_response(resp)).unwrap();
+            let flushed = out.push(resp).unwrap();
+            // A push writes only once the queued bytes reach the cap.
+            prop_assert_eq!(flushed, expected.len() - written >= WIRE_BUF);
+            prop_assert_eq!(flushed, wire.borrow().len() == expected.len());
+            // An explicit flush after one frame in 24.
+            if flush_roll == 0 {
+                out.flush().unwrap();
+                prop_assert_eq!(wire.borrow().len(), expected.len());
+            }
+        }
+        out.flush().unwrap();
+        prop_assert!(out.is_empty());
+        let wire = wire.borrow();
+        prop_assert!(*wire == expected, "coalesced bytes differ from per-frame writes");
+
+        let mut reader = buffered(&wire, read_lens, read_buf);
+        for resp in &sent {
+            match proto::read_frame(&mut reader).unwrap() {
+                FrameRead::Frame(payload) => {
+                    prop_assert_eq!(&proto::decode_response(&payload).unwrap(), resp);
+                }
+                other => panic!("wanted Frame, got {}", discriminant_name(&other)),
+            }
+        }
+        prop_assert!(matches!(proto::read_frame(&mut reader).unwrap(), FrameRead::Eof));
+    }
+
+    // Buffering keeps the reader's end-of-stream contract: cut the stream
+    // at a frame boundary and the reader ends with a clean `Eof`; cut it
+    // inside a frame and it ends with a torn-frame `UnexpectedEof`.
+    #[test]
+    fn buffered_reads_keep_eof_semantics(
+        frames in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..40, 1u16..8), 1..12),
+        cut in any::<u64>(),
+        read_lens in proptest::collection::vec(1usize..300, 1..8),
+        read_buf in 1usize..4096,
+    ) {
+        let mut wire = Vec::new();
+        let mut boundaries = vec![0];
+        for &(kind, a, n, dims) in &frames {
+            proto::encode_response_into(&mut wire, &arbitrary_response(kind, a, n, dims));
+            boundaries.push(wire.len());
+        }
+        let cut = (cut % (wire.len() as u64 + 1)) as usize;
+        let whole = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+        let mut reader = buffered(&wire[..cut], read_lens, read_buf);
+        for _ in 0..whole {
+            prop_assert!(matches!(proto::read_frame(&mut reader).unwrap(), FrameRead::Frame(_)));
+        }
+        match proto::read_frame(&mut reader) {
+            Ok(FrameRead::Eof) => prop_assert!(boundaries.contains(&cut)),
+            Err(e) => {
+                prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+                prop_assert!(!boundaries.contains(&cut));
+            }
+            Ok(other) => panic!("wanted the end of the stream, got {}", discriminant_name(&other)),
+        }
     }
 }
 

@@ -111,6 +111,19 @@ fn ping_tables_and_multiple_queries_share_one_connection() {
     server.shutdown();
 }
 
+/// Without `TCP_NODELAY` a request can wait out Nagle's algorithm behind
+/// the previous reply's delayed ACK; the option must survive any refactor
+/// of the connect path.
+#[test]
+fn client_connections_disable_nagle() {
+    let server = start_default();
+    let mut client = connect(&server);
+    assert!(client.stream_mut().nodelay().expect("read TCP_NODELAY"));
+    client.ping().expect("ping");
+    assert!(client.stream_mut().nodelay().expect("read TCP_NODELAY"));
+    server.shutdown();
+}
+
 // ---------------------------------------------------------- typed errors
 
 #[test]
@@ -244,14 +257,12 @@ fn saturating_the_gate_sheds_with_retry_hints() {
 
 // ----------------------------------------------------------- resumption
 
-/// Read and decode one response frame straight off the socket.
-fn read_response(stream: &mut std::net::TcpStream) -> Response {
-    match proto::read_frame(stream).expect("read frame") {
-        proto::FrameRead::Frame(payload) => {
-            proto::decode_response(&payload).expect("well-formed response")
-        }
-        proto::FrameRead::Eof => panic!("server closed the stream mid-exchange"),
-        proto::FrameRead::Malformed(e) => panic!("malformed frame: {e}"),
+/// Read and decode one response frame through the client's read buffer.
+fn read_response(client: &mut Client) -> Response {
+    match client.recv() {
+        Ok(resp) => resp,
+        Err(ClientError::Disconnected) => panic!("server closed the stream mid-exchange"),
+        Err(e) => panic!("bad frame: {e}"),
     }
 }
 
@@ -299,7 +310,7 @@ fn kill_after_k_then_resume(
     let mut query_id = 0u64;
     let mut next = 0u64;
     while next < k {
-        match read_response(victim.stream_mut()) {
+        match read_response(&mut victim) {
             Response::Heartbeat { .. } => {}
             Response::Batch {
                 query_id: id,
@@ -331,7 +342,7 @@ fn kill_after_k_then_resume(
         .unwrap();
     let mut seqs = Vec::new();
     loop {
-        match read_response(client.stream_mut()) {
+        match read_response(&mut client) {
             Response::Heartbeat { .. } => {}
             Response::Batch {
                 query_id: id,
@@ -827,7 +838,7 @@ fn resume_spanning_an_ingest_is_a_typed_version_mismatch() {
         .send_raw(&proto::encode_request(&Request::Query(req.clone())))
         .unwrap();
     let (query_id, stream_version) = loop {
-        match read_response(victim.stream_mut()) {
+        match read_response(&mut victim) {
             Response::Heartbeat { .. } => {}
             Response::Batch {
                 query_id, version, ..
@@ -856,7 +867,7 @@ fn resume_spanning_an_ingest_is_a_typed_version_mismatch() {
             query: pinned,
         }))
         .unwrap();
-    match read_response(resumer.stream_mut()) {
+    match read_response(&mut resumer) {
         Response::Error {
             status: WireStatus::VersionMismatch,
             ..
@@ -875,7 +886,7 @@ fn resume_spanning_an_ingest_is_a_typed_version_mismatch() {
         .send_raw(&proto::encode_request(&Request::Query(req)))
         .unwrap();
     loop {
-        match read_response(fresh.stream_mut()) {
+        match read_response(&mut fresh) {
             Response::Heartbeat { .. } => {}
             Response::Batch { version, .. } => {
                 assert_eq!(version, 2, "fresh streams echo the current version");
