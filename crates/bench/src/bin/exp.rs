@@ -111,7 +111,9 @@ fn print_help() {
          experiment sweeps 1/2/4/8 threads and writes BENCH_parallel.json.\n\
          The `serve` experiment load-tests the TCP server at 1/8/64 concurrent\n\
          clients and writes BENCH_serve.json (CCUBE_ASSERT_SERVE=1 arms its\n\
-         acceptance gates)."
+         acceptance gates). `plan-grid` fits the planner's choice table on a\n\
+         timed grid and writes BENCH_plan.json (CCUBE_ASSERT_PLAN=1 gates the\n\
+         held-out regret)."
     );
 }
 

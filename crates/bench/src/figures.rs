@@ -2,8 +2,10 @@
 //!
 //! Parameter lines follow the paper's captions exactly; `scale` multiplies
 //! tuple counts only (thresholds, cardinalities, dimensions and skews stay
-//! as printed). See DESIGN.md §4 for the full experiment index and
-//! EXPERIMENTS.md for an archived run with commentary.
+//! as printed). `exp list` prints the experiment index; the README's
+//! "Build, test, bench" and "Planner" sections say what each writes, and
+//! `BENCH_plan.json` archives the planner-grid run the shipped choice table
+//! was fitted on.
 
 use crate::report::{mb, secs, Figure};
 use crate::{measure_size, measure_threads};
@@ -68,6 +70,7 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("fig13", fig13),
         ("fig14", fig14),
         ("fig15", fig15),
+        ("plan-grid", plan_grid),
         ("fig16", fig16),
         ("fig17", fig17),
         ("fig18", fig18),
@@ -94,22 +97,12 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
 /// `BENCH_substrate.json` (median of 31 samples each, so the numbers survive
 /// noisy-neighbour CI boxes).
 fn substrate_micro(opt: &ExpOptions) -> Figure {
+    use crate::sample_secs;
     use ccube_core::closedness::ClosedInfo;
     use ccube_core::partition::Partitioner;
     use ccube_core::table::{TupleId, ViewArena};
-    use std::time::Instant;
 
-    fn median_secs(mut run: impl FnMut()) -> f64 {
-        let mut samples: Vec<f64> = (0..31)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    }
+    const SAMPLES: usize = 31;
 
     let tuples = opt.tuples(1_000_000);
     let table = SyntheticSpec::uniform(tuples, 8, 100, 1.5, opt.seed).generate();
@@ -134,7 +127,7 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
     let base = table.all_tids();
     let mut counts = vec![0u32; card];
     let mut scatter = vec![0 as TupleId; tuples];
-    let pass_before = median_secs(|| {
+    let pass_before = sample_secs(SAMPLES, || {
         counts.fill(0);
         for &tid in &base {
             counts[wide_col[tid as usize] as usize] += 1;
@@ -151,16 +144,18 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
             *slot += 1;
         }
         std::hint::black_box(scatter[0]);
-    });
+    })
+    .median;
     let narrow_col1 = match table.col(1) {
         ccube_core::ColRef::U8(c) => c,
         _ => unreachable!("cardinality 100 is stored as u8"),
     };
     let mut rows = Vec::new();
-    let pass_after = median_secs(|| {
+    let pass_after = sample_secs(SAMPLES, || {
         ccube_core::kernels::sort_pass_u8_into(narrow_col1, &base, &mut rows, &mut scatter);
         std::hint::black_box(scatter[0]);
-    });
+    })
+    .median;
     // End-to-end Partitioner::partition (adds group emission and the
     // in-place copy-back on both sides). Before: a faithful inline port of
     // the pre-kernel partition. After: the shipped dispatching partitioner.
@@ -168,7 +163,7 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
     // the same input.
     let mut t_buf = base.clone();
     let mut groups_buf: Vec<ccube_core::partition::Group> = Vec::new();
-    let partition_before = median_secs(|| {
+    let partition_before = sample_secs(SAMPLES, || {
         t_buf.copy_from_slice(&base);
         counts.fill(0);
         for &tid in &t_buf {
@@ -195,14 +190,16 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
         }
         t_buf.copy_from_slice(&scatter);
         std::hint::black_box(groups_buf.len());
-    });
+    })
+    .median;
     let mut partitioner = Partitioner::new();
-    let partition_after = median_secs(|| {
+    let partition_after = sample_secs(SAMPLES, || {
         t_buf.copy_from_slice(&base);
         groups_buf.clear();
         partitioner.partition(&table, 1, &mut t_buf, &mut groups_buf);
         std::hint::black_box(groups_buf.len());
-    });
+    })
+    .median;
     // Narrow slices over a wide domain (the sparse-reset payoff case):
     // dense vs sparse counter reset at cardinality 10000. The 64-tuple
     // slices sit below the lane gate on both sides, so before/after isolates
@@ -224,27 +221,29 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
         std::hint::black_box(total);
     };
     let mut dense = Partitioner::new();
-    let narrow_dense_before = median_secs(|| narrow(&mut dense, &wide_domain_w));
-    let narrow_dense = median_secs(|| narrow(&mut dense, &wide_domain));
+    let narrow_dense_before = sample_secs(SAMPLES, || narrow(&mut dense, &wide_domain_w)).median;
+    let narrow_dense = sample_secs(SAMPLES, || narrow(&mut dense, &wide_domain)).median;
     let mut sparse = Partitioner::with_sparse_reset();
-    let narrow_sparse_before = median_secs(|| narrow(&mut sparse, &wide_domain_w));
-    let narrow_sparse = median_secs(|| narrow(&mut sparse, &wide_domain));
+    let narrow_sparse_before = sample_secs(SAMPLES, || narrow(&mut sparse, &wide_domain_w)).median;
+    let narrow_sparse = sample_secs(SAMPLES, || narrow(&mut sparse, &wide_domain)).median;
     // Shard-view materialization (per-column gather). Before: u32 gathers.
     // After: u8 gathers plus the packed-row rebuild the closedness kernels
     // feed on.
     let mut arena = ViewArena::new();
-    let gather_before = median_secs(|| {
+    let gather_before = sample_secs(SAMPLES, || {
         let view = wide.view_in(&mut arena, shard, &dim_order, 8);
         let rows = view.rows();
         arena.reclaim(view);
         std::hint::black_box(rows);
-    });
-    let gather = median_secs(|| {
+    })
+    .median;
+    let gather = sample_secs(SAMPLES, || {
         let view = table.view_in(&mut arena, shard, &dim_order, 8);
         let rows = view.rows();
         arena.reclaim(view);
         std::hint::black_box(rows);
-    });
+    })
+    .median;
     // Group-wise closedness over deep slices: partition by dims 0, 1 and 2
     // (the shape a cuber's recursion hands to the closedness check — every
     // bound dimension uniform within the group), keep the groups of >= 8
@@ -270,31 +269,35 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
         level
     };
     let deep_tuples: usize = deep_groups.iter().map(Vec::len).sum();
-    let for_group_before = median_secs(|| {
+    let for_group_before = sample_secs(SAMPLES, || {
         let mut acc = 0u64;
         for g in &deep_groups {
             let info = ClosedInfo::for_group_scalar(&wide, g).expect("non-empty group");
             acc += u64::from(info.rep) + info.mask.len() as u64;
         }
         std::hint::black_box(acc);
-    });
-    let for_group = median_secs(|| {
+    })
+    .median;
+    let for_group = sample_secs(SAMPLES, || {
         let mut acc = 0u64;
         for g in &deep_groups {
             let info = ClosedInfo::for_group(&table, g).expect("non-empty group");
             acc += u64::from(info.rep) + info.mask.len() as u64;
         }
         std::hint::black_box(acc);
-    });
+    })
+    .median;
     // Tuple-at-a-time merge chain over the hottest shard. Before: per-dim
     // probe merges on the widened table. After: one SWAR byte-lane compare
     // per merge against the packed rows.
-    let merge_chain_before = median_secs(|| {
+    let merge_chain_before = sample_secs(SAMPLES, || {
         std::hint::black_box(ClosedInfo::of_group(&wide, shard));
-    });
-    let merge_chain = median_secs(|| {
+    })
+    .median;
+    let merge_chain = sample_secs(SAMPLES, || {
         std::hint::black_box(ClosedInfo::of_group(&table, shard));
-    });
+    })
+    .median;
 
     let speedup = |before: f64, after: f64| {
         if after > 0.0 {
@@ -390,30 +393,23 @@ fn substrate_micro(opt: &ExpOptions) -> Figure {
 /// (a) session construction (stats measurement + first-dimension partition),
 /// (b) the first planner-backed query vs an identical warm repeat,
 /// (c) a CC(StarArray) query pair — the first builds the lex-sorted tuple
-/// pool, the second replays it, and
-/// (d) a `slice(0, v)` query pair — the warm one reads the cached partition.
-/// Writes the numbers to `BENCH_session.json` (best of 3 per point, so the
-/// cold/warm contrast survives noisy CI boxes: "cold" here is re-measured on
-/// a fresh session each sample).
+/// pool, the second replays it,
+/// (d) a `slice(0, v)` query pair — the warm one reads the cached partition,
+/// and (e) each closed cuber's warm query, which puts the planner's pick
+/// beside the fastest. Writes the numbers to `BENCH_session.json` (median,
+/// n and IQR of 3 samples per point; "cold" is re-measured on a fresh
+/// session each sample).
 fn session_experiment(opt: &ExpOptions) -> Figure {
+    use crate::{sample, Timing};
     use c_cubing::prelude::*;
     use std::time::Instant;
 
+    const SAMPLES: usize = 3;
     let tuples = opt.tuples(1_000_000);
     let min_sup = 8;
     let table = SyntheticSpec::uniform(tuples, 8, 100, 1.0, opt.seed).generate();
     let slice_value = 0u32;
 
-    fn best_of<T>(n: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
-        let mut best = run();
-        for _ in 1..n {
-            let sample = run();
-            if sample.0 < best.0 {
-                best = sample;
-            }
-        }
-        best
-    }
     let timed = |f: &mut dyn FnMut() -> u64| {
         let start = Instant::now();
         let cells = f();
@@ -422,7 +418,7 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
 
     // (a) The cached artifacts, timed directly — these are exactly what a
     // warm query skips, independent of how much the query itself costs.
-    let (setup, _) = best_of(3, || {
+    let (setup, _) = sample(SAMPLES, || {
         // Clone outside the timed region — the caller's owned table is not
         // part of the setup cost (pair() below excludes it the same way).
         let mut fresh = Some(table.clone());
@@ -432,13 +428,13 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
             s.stats().tuples
         })
     });
-    let (stats_secs, _) = best_of(3, || {
+    let (stats_secs, _) = sample(SAMPLES, || {
         timed(&mut || c_cubing::TableStats::measure(&table).tuples)
     });
-    let (partition_secs, _) = best_of(3, || {
+    let (partition_secs, _) = sample(SAMPLES, || {
         timed(&mut || table.shard_by_first_dim().1.len() as u64)
     });
-    let (pool_secs, _) = best_of(3, || {
+    let (pool_secs, _) = sample(SAMPLES, || {
         timed(&mut || ccube_star::lex_sorted_pool(&table).len() as u64)
     });
 
@@ -447,8 +443,9 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
     // any lazy artifact (the StarArray pool) built inside the first run —
     // while "warm" repeats the identical query on the now-primed session.
     // cold − warm ≈ the setup the cache skips.
-    let pair = |build: &mut dyn FnMut(&mut CubeSession) -> u64| {
-        best_of(3, || {
+    let pair = |build: &mut dyn FnMut(&mut CubeSession) -> u64| -> (Timing, Timing, u64) {
+        let mut warm = Vec::with_capacity(SAMPLES);
+        let (cold, cells) = sample(SAMPLES, || {
             // The clone stands in for the caller's owned table; it is not
             // part of the cold cost.
             let mut fresh = Some(table.clone());
@@ -461,11 +458,12 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
                 cells
             });
             let mut s = session.expect("cold run built the session");
-            let warm = timed(&mut || build(&mut s));
-            assert_eq!(cold.1, warm.1, "warm query changed the result");
-            (cold.0, (cold.0, warm.0, cold.1))
-        })
-        .1
+            let (secs, cells) = timed(&mut || build(&mut s));
+            assert_eq!(cold.1, cells, "warm query changed the result");
+            warm.push(secs);
+            cold
+        });
+        (cold, Timing::of(&warm), cells)
     };
     let planner = pair(&mut |s| s.query().min_sup(min_sup).stats().unwrap().cells);
     let star_pool = pair(&mut |s| {
@@ -496,35 +494,84 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
             .cells
     });
 
+    // (e) The planner-default query beside every closed cuber, warm on one
+    // primed session, in rounds that run each once so drift hits all alike.
+    let mut session = CubeSession::new(table.clone()).expect("ordinary table");
+    let pick = session.recommend(min_sup);
+    let lineup: Vec<Option<Algorithm>> =
+        std::iter::once(None).chain(FULL_CLOSED.map(Some)).collect();
+    let mut run = |algo: Option<Algorithm>| {
+        timed(&mut || {
+            let mut q = session.query().min_sup(min_sup);
+            if let Some(algo) = algo {
+                q = q.algorithm(algo);
+            }
+            q.stats().unwrap().cells
+        })
+    };
+    // An untimed round first: it builds the StarArray pool.
+    let mut took = vec![Vec::with_capacity(SAMPLES); lineup.len()];
+    for round in 0..=SAMPLES {
+        for (i, &algo) in lineup.iter().enumerate() {
+            let (t, cells) = run(algo);
+            assert_eq!(cells, planner.2, "{algo:?} disagrees with the planner");
+            if round > 0 {
+                took[i].push(t);
+            }
+        }
+    }
+    let planner_warm = Timing::of(&took[0]);
+    let cubers: Vec<(Algorithm, Timing)> = FULL_CLOSED
+        .iter()
+        .zip(&took[1..])
+        .map(|(&a, s)| (a, Timing::of(s)))
+        .collect();
+    let fastest = cubers
+        .iter()
+        .min_by(|a, b| a.1.median.total_cmp(&b.1.median))
+        .expect("four cubers");
+    let regret = planner_warm.median / fastest.1.median;
+
+    let shape = |(cold, warm, cells): &(Timing, Timing, u64)| {
+        format!(
+            "{{\"cold\": {}, \"warm\": {}, \"cells\": {cells}}}",
+            cold.json(),
+            warm.json()
+        )
+    };
+    let cuber_json: Vec<String> = cubers
+        .iter()
+        .map(|(a, t)| format!("\"{a}\": {}", t.json()))
+        .collect();
     let json = format!(
         "{{\n  \"tuples\": {tuples}, \"dims\": 8, \"cardinality\": 100, \"skew\": 1.0, \
-         \"min_sup\": {min_sup}, \"seed\": {},\n  \"session_setup_seconds\": {setup:.6},\n  \
-         \"stats_seconds\": {stats_secs:.6}, \"partition_seconds\": {partition_secs:.6}, \
-         \"star_pool_seconds\": {pool_secs:.6},\n  \
-         \"planner_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"stararray_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"sliced_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"cheap_sliced_query\": {{\"min_sup\": {cheap_min_sup}, \"cold_seconds\": {:.6}, \
-         \"warm_seconds\": {:.6}, \"cells\": {}}}\n}}\n",
+         \"min_sup\": {min_sup}, \"seed\": {},\n  \"session_setup\": {},\n  \
+         \"stats\": {}, \"partition\": {}, \"star_pool\": {},\n  \
+         \"planner_query\": {},\n  \"planner_pick\": \"{pick}\",\n  \
+         \"planner_warm\": {},\n  \"closed_cubers_warm\": {{{}}},\n  \
+         \"planner_regret\": {regret:.3},\n  \
+         \"stararray_query\": {},\n  \"sliced_query\": {},\n  \
+         \"cheap_sliced_query\": {{\"min_sup\": {cheap_min_sup}, \"shape\": {}}}\n}}\n",
         opt.seed,
-        planner.0,
-        planner.1,
-        planner.2,
-        star_pool.0,
-        star_pool.1,
-        star_pool.2,
-        sliced.0,
-        sliced.1,
-        sliced.2,
-        cheap.0,
-        cheap.1,
-        cheap.2,
+        setup.json(),
+        stats_secs.json(),
+        partition_secs.json(),
+        pool_secs.json(),
+        shape(&planner),
+        planner_warm.json(),
+        cuber_json.join(", "),
+        shape(&star_pool),
+        shape(&sliced),
+        shape(&cheap),
     );
     let json_note = match std::fs::write("BENCH_session.json", &json) {
         Ok(()) => "Numbers written to BENCH_session.json.".to_string(),
         Err(e) => format!("(could not write BENCH_session.json: {e})"),
     };
 
+    let row = |(cold, warm, cells): &(Timing, Timing, u64)| {
+        vec![secs(cold.median), secs(warm.median), cells.to_string()]
+    };
     Figure {
         id: "session",
         title: format!(
@@ -536,38 +583,40 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
         rows: vec![
             (
                 "session setup (stats + partition)".into(),
-                vec![secs(setup), "-".into(), "-".into()],
+                vec![secs(setup.median), "-".into(), "-".into()],
             ),
             (
                 "  · stats / partition / pool".into(),
-                vec![secs(stats_secs), secs(partition_secs), secs(pool_secs)],
-            ),
-            (
-                "planner-backed closed cube".into(),
-                vec![secs(planner.0), secs(planner.1), planner.2.to_string()],
-            ),
-            (
-                "CC(StarArray) (pool cache)".into(),
                 vec![
-                    secs(star_pool.0),
-                    secs(star_pool.1),
-                    star_pool.2.to_string(),
+                    secs(stats_secs.median),
+                    secs(partition_secs.median),
+                    secs(pool_secs.median),
                 ],
             ),
             (
+                format!("planner-backed closed cube ({pick})"),
+                row(&planner),
+            ),
+            ("CC(StarArray) (pool cache)".into(), row(&star_pool)),
+            (
                 format!("slice(0, {slice_value}) (partition cache)"),
-                vec![secs(sliced.0), secs(sliced.1), sliced.2.to_string()],
+                row(&sliced),
             ),
             (
                 format!("slice(0, {slice_value}) at M={cheap_min_sup} (setup-dominated)"),
-                vec![secs(cheap.0), secs(cheap.1), cheap.2.to_string()],
+                row(&cheap),
             ),
         ],
         notes: format!(
-            "Warm queries reuse the session's cached stats, first-dimension partition and \
-             (for the StarArray family) the lex-sorted tuple pool; the session-setup row is \
-             the per-query cost the cache amortizes away. Cold/warm results are asserted \
-             identical — cache reuse is invisible in the output. {json_note}"
+            "Medians of {SAMPLES} samples. Warm queries reuse the session's cached stats, \
+             first-dimension partition and (for the StarArray family) the lex-sorted tuple \
+             pool; the session-setup row is the per-query cost the cache amortizes away. \
+             Cold/warm results are asserted identical — cache reuse is invisible in the \
+             output. Planner pick {pick}: warm {} against the fastest closed cuber {} at {} \
+             in the same rounds (regret {regret:.2}x). {json_note}",
+            secs(planner_warm.median),
+            fastest.0,
+            secs(fastest.1.median),
         ),
     }
 }
@@ -963,8 +1012,11 @@ fn fig14(opt: &ExpOptions) -> Figure {
 }
 
 /// Fig 15: best algorithm across the (R, min_sup) grid. T=400K, D=8, C=20.
+/// The paper compares CC(MM) with CC(Star); every cell here names the
+/// winner among all four closed cubers.
 fn fig15(opt: &ExpOptions) -> Figure {
     let min_sups = [1u64, 4, 16, 64, 256];
+    let mut wins = [0usize; 4];
     let rows = [0.0, 1.0, 2.0, 3.0]
         .into_iter()
         .map(|r| {
@@ -972,17 +1024,31 @@ fn fig15(opt: &ExpOptions) -> Figure {
                 .iter()
                 .map(|&m| {
                     let (table, _) = dependence_table(opt, r, m);
-                    let mm = opt.measure(Algorithm::CCubingMm, &table, m).seconds;
-                    let star = opt.measure(Algorithm::CCubingStar, &table, m).seconds;
-                    if mm <= star {
-                        format!("CC(MM) ({:.0}%)", 100.0 * mm / star)
-                    } else {
-                        format!("CC(Star) ({:.0}%)", 100.0 * star / mm)
-                    }
+                    let mut times: Vec<(usize, f64)> = FULL_CLOSED
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &a)| (i, opt.measure(a, &table, m).seconds))
+                        .collect();
+                    times.sort_by(|a, b| a.1.total_cmp(&b.1));
+                    let ((best, t), (_, next)) = (times[0], times[1]);
+                    wins[best] += 1;
+                    format!("{} ({:.0}%)", FULL_CLOSED[best], 100.0 * t / next)
                 })
                 .collect();
             (format!("R={r}"), cells)
         })
+        .collect();
+    let off_paper: usize = FULL_CLOSED
+        .iter()
+        .zip(wins)
+        .filter(|(a, _)| !matches!(a, Algorithm::CCubingMm | Algorithm::CCubingStar))
+        .map(|(_, n)| n)
+        .sum();
+    let measured: Vec<String> = FULL_CLOSED
+        .iter()
+        .zip(wins)
+        .filter(|(_, n)| *n > 0)
+        .map(|(a, n)| format!("{a} {n}"))
         .collect();
     Figure {
         id: "fig15",
@@ -993,10 +1059,490 @@ fn fig15(opt: &ExpOptions) -> Figure {
         x_label: "Dependence \\ Minsup".into(),
         series: min_sups.iter().map(|m| format!("M={m}")).collect(),
         rows,
-        notes: "Winner plus its runtime as % of the loser's. Expected shape: CC(Star) in \
-                the low-min_sup/high-R corner, CC(MM) in the high-min_sup/low-R corner, \
-                with the frontier moving right as R grows."
-            .into(),
+        notes: format!(
+            "Winner among the four closed cubers plus its runtime as % of the runner-up's. \
+             Expected shape: CC(Star) in the low-min_sup/high-R corner, CC(MM) in the \
+             high-min_sup/low-R corner, with the frontier moving right as R grows. \
+             Measured: the winner is neither CC(MM) nor CC(Star) in {} of {} cells \
+             (wins: {}).",
+            off_paper,
+            min_sups.len() * 4,
+            measured.join(", ")
+        ),
+    }
+}
+
+/// One `plan-grid` point: a generated table, an iceberg threshold and the
+/// query shape — the full cube, or the `slice(0, 0)` subcube, which a
+/// session plans from the whole table's statistics.
+#[derive(Clone, Copy, Debug)]
+struct PlanPoint {
+    tuples: usize,
+    dims: usize,
+    card: u32,
+    skew: f64,
+    dependence: f64,
+    min_sup: u64,
+    slice: bool,
+}
+
+impl PlanPoint {
+    fn label(&self) -> String {
+        format!(
+            "T={} D={} C={} S={} R={} M={}{}",
+            self.tuples,
+            self.dims,
+            self.card,
+            self.skew,
+            self.dependence,
+            self.min_sup,
+            if self.slice { " slice(0,0)" } else { "" }
+        )
+    }
+
+    fn table(&self, seed: u64) -> Table {
+        let mut spec = SyntheticSpec::uniform(self.tuples, self.dims, self.card, self.skew, seed);
+        if self.dependence > 0.0 {
+            let cards = vec![self.card; self.dims];
+            spec = spec.with_rules(RuleSet::with_dependence(
+                &cards,
+                self.dependence,
+                seed ^ 0xD0,
+            ));
+        }
+        spec.generate()
+    }
+}
+
+/// One timed `plan-grid` point: the session's measured statistics and each
+/// closed cuber's warm query time, in [`FULL_CLOSED`] order.
+struct PlanRun {
+    point: PlanPoint,
+    stats: c_cubing::TableStats,
+    times: [crate::Timing; 4],
+}
+
+impl PlanRun {
+    fn time(&self, algo: Algorithm) -> &crate::Timing {
+        let i = FULL_CLOSED.iter().position(|&a| a == algo);
+        &self.times[i.expect("a closed cuber")]
+    }
+
+    /// The cubers, fastest median first.
+    fn ranked(&self) -> Vec<Algorithm> {
+        let mut ranked = FULL_CLOSED.to_vec();
+        ranked.sort_by(|a, b| self.time(*a).median.total_cmp(&self.time(*b).median));
+        ranked
+    }
+
+    /// `algo`'s time over the fastest cuber's.
+    fn regret(&self, algo: Algorithm) -> f64 {
+        self.time(algo).median / self.time(self.ranked()[0]).median.max(1e-9)
+    }
+
+    /// The winner, if it beat the runner-up by more than noise: at least
+    /// [`PLAN_MARGIN`] faster in median, with the two interquartile ranges
+    /// apart.
+    fn clear_winner(&self) -> Option<Algorithm> {
+        let ranked = self.ranked();
+        let (best, next) = (self.time(ranked[0]), self.time(ranked[1]));
+        (best.median * PLAN_MARGIN <= next.median && best.q3 < next.q1).then_some(ranked[0])
+    }
+
+    fn bucket(&self) -> c_cubing::PlanBucket {
+        c_cubing::PlanBucket::of(&self.stats, self.point.min_sup)
+    }
+}
+
+/// How much faster than the alternative a cuber must be to count as a win
+/// rather than noise: 10%.
+const PLAN_MARGIN: f64 = 1.1;
+
+/// The paper-threshold rule the measured planner replaced (Fig 15: the Star
+/// family below a dependence-scaled min_sup switch near 16, CC(Star) up to
+/// cardinality 300), kept as the baseline `plan-grid` reports beside it.
+fn paper_thresholds(stats: &c_cubing::TableStats, min_sup: u64) -> Algorithm {
+    let size_factor = ((stats.tuples.max(1) as f64) / 400_000.0).max(0.1);
+    let switch = 16.0 * (1.0 + stats.dependence * stats.dependence) * size_factor.sqrt();
+    if (min_sup as f64) > switch {
+        Algorithm::CCubingMm
+    } else if stats.typical_cardinality() > 300 {
+        Algorithm::CCubingStarArray
+    } else {
+        Algorithm::CCubingStar
+    }
+}
+
+/// Time the four closed cubers on `point` through one warm session, the
+/// way a served planner-default query runs. Rounds run each cuber once, so
+/// drift hits every cuber alike: five rounds, or three when one round takes
+/// over a second.
+fn time_plan_point(point: PlanPoint, seed: u64) -> PlanRun {
+    use c_cubing::CubeSession;
+    let mut session = CubeSession::new(point.table(seed)).expect("generated table");
+    let mut query = |algo: Algorithm, min_sup: u64| {
+        let start = std::time::Instant::now();
+        let mut q = session.query().min_sup(min_sup).algorithm(algo);
+        if point.slice {
+            q = q.slice(0, 0);
+        }
+        let cells = q.stats().expect("plan-grid query").cells;
+        (start.elapsed().as_secs_f64(), cells)
+    };
+    // A served table has its lazy StarArray pool built already; a threshold
+    // no cell meets builds it without cubing anything.
+    query(Algorithm::CCubingStarArray, u64::MAX);
+    let mut secs = [(); 4].map(|_| Vec::new());
+    let mut rounds = 5;
+    let mut round = 0;
+    while round < rounds {
+        let mut cells = [0u64; 4];
+        for (i, &algo) in FULL_CLOSED.iter().enumerate() {
+            let (took, n) = query(algo, point.min_sup);
+            secs[i].push(took);
+            cells[i] = n;
+        }
+        assert!(
+            cells.windows(2).all(|w| w[0] == w[1]),
+            "closed cubers disagree at {}: {cells:?}",
+            point.label()
+        );
+        if round == 0 && secs.iter().map(|s| s[0]).sum::<f64>() > 1.0 {
+            rounds = 3;
+        }
+        round += 1;
+    }
+    let stats = session.stats().clone();
+    PlanRun {
+        point,
+        stats,
+        times: secs.map(|s| crate::Timing::of(&s)),
+    }
+}
+
+/// The training grid: T × D × C × Zipf skew × dependence R × min_sup, with
+/// T ∈ {100K, 400K} scaled (10K and 40K at the default scale 0.1).
+fn plan_training_grid(opt: &ExpOptions) -> Vec<PlanPoint> {
+    let mut grid = Vec::new();
+    for tuples in [opt.tuples(100_000), opt.tuples(400_000)] {
+        for dims in [6, 8] {
+            for card in [10, 100, 1000] {
+                for skew in [0.0, 1.5] {
+                    for dependence in [0.0, 2.0] {
+                        for min_sup in [1, 8, 64] {
+                            grid.push(PlanPoint {
+                                tuples,
+                                dims,
+                                card,
+                                skew,
+                                dependence,
+                                min_sup,
+                                slice: false,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grid
+}
+
+/// The held-out grid the shipped planner is judged on: shapes off the
+/// training grid — other sizes, cardinalities, skews, dependences, dims and
+/// thresholds — among them the tables the repository benchmark serves.
+fn plan_held_out_grid(opt: &ExpOptions) -> Vec<PlanPoint> {
+    let p = |paper: usize, dims, card, skew, dependence, min_sup, slice| PlanPoint {
+        tuples: opt.tuples(paper),
+        dims,
+        card,
+        skew,
+        dependence,
+        min_sup,
+        slice,
+    };
+    vec![
+        // The benchmark's served table at its three thresholds.
+        p(100_000, 6, 40, 1.0, 0.0, 4, false),
+        p(100_000, 6, 40, 1.0, 0.0, 8, false),
+        p(100_000, 6, 40, 1.0, 0.0, 16, false),
+        // The benchmark's in-process cube table.
+        p(500_000, 8, 100, 1.0, 0.0, 1, false),
+        p(500_000, 8, 100, 1.0, 0.0, 8, false),
+        // The benchmark's skewed ingest table, sliced on its first dimension.
+        p(1_000_000, 6, 1000, 1.5, 0.0, 1, true),
+        // Off-grid shapes.
+        p(100_000, 5, 300, 0.5, 1.0, 2, false),
+        p(100_000, 5, 300, 0.5, 1.0, 32, false),
+        p(300_000, 7, 20, 0.0, 3.0, 4, false),
+        p(300_000, 7, 20, 0.0, 3.0, 16, false),
+        p(400_000, 8, 20, 0.0, 1.0, 256, false),
+        p(200_000, 6, 500, 1.0, 0.0, 1, false),
+        p(200_000, 6, 500, 1.0, 0.0, 4, true),
+        p(150_000, 4, 2000, 2.0, 0.0, 1, false),
+        p(150_000, 10, 16, 0.8, 0.0, 32, false),
+    ]
+}
+
+/// The fitted choice table and how it was reached.
+struct PlanFit {
+    /// Clear wins (see [`PlanRun::clear_winner`]) per cuber.
+    clear_wins: Vec<(Algorithm, usize)>,
+    /// The cuber with the lowest regret geomean over the whole grid.
+    default: Algorithm,
+    /// Per bucket: its training points and fitted cuber.
+    table: std::collections::BTreeMap<c_cubing::PlanBucket, (usize, Algorithm)>,
+}
+
+fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = xs.fold((0.0, 0usize), |(s, n), x| (s + x.ln(), n + 1));
+    (sum / n.max(1) as f64).exp()
+}
+
+/// Fit the choice table on `runs`. Candidates are the cubers with at least
+/// one clear win; the default is the candidate with the lowest regret
+/// geomean; a bucket takes another candidate only where it is
+/// [`PLAN_MARGIN`] faster than the default in geomean over the bucket.
+fn fit_choice_table(runs: &[PlanRun]) -> PlanFit {
+    let clear_wins: Vec<(Algorithm, usize)> = FULL_CLOSED
+        .iter()
+        .map(|&a| {
+            let wins = runs.iter().filter(|r| r.clear_winner() == Some(a)).count();
+            (a, wins)
+        })
+        .collect();
+    let candidates: Vec<Algorithm> = clear_wins
+        .iter()
+        .filter(|(_, wins)| *wins > 0)
+        .map(|(a, _)| *a)
+        .collect();
+    let grid_regret = |a: Algorithm| geomean(runs.iter().map(|r| r.regret(a)));
+    let default = *candidates
+        .iter()
+        .min_by(|a, b| grid_regret(**a).total_cmp(&grid_regret(**b)))
+        .unwrap_or(&Algorithm::QcDfs);
+    let mut buckets: std::collections::BTreeMap<_, Vec<&PlanRun>> = Default::default();
+    for run in runs {
+        buckets.entry(run.bucket()).or_default().push(run);
+    }
+    let table = buckets
+        .into_iter()
+        .map(|(bucket, runs)| {
+            let gain = |a: Algorithm| {
+                geomean(
+                    runs.iter()
+                        .map(|r| r.time(default).median / r.time(a).median.max(1e-9)),
+                )
+            };
+            let best = *candidates
+                .iter()
+                .max_by(|a, b| gain(**a).total_cmp(&gain(**b)))
+                .unwrap_or(&default);
+            let pick = if gain(best) >= PLAN_MARGIN {
+                best
+            } else {
+                default
+            };
+            (bucket, (runs.len(), pick))
+        })
+        .collect();
+    PlanFit {
+        clear_wins,
+        default,
+        table,
+    }
+}
+
+/// The fitted table as the `CHOICE` constant of `src/lib.rs`.
+fn choice_table_source(fit: &PlanFit) -> String {
+    let mut out = String::from("const CHOICE: [[[Algorithm; 3]; 2]; 3] = [\n");
+    for cardinality in 0..3 {
+        out.push_str("    [");
+        for skewed in [false, true] {
+            let row: Vec<String> = (0..3)
+                .map(|min_sup| {
+                    let bucket = c_cubing::PlanBucket {
+                        cardinality,
+                        skewed,
+                        min_sup,
+                    };
+                    let algo = fit.table.get(&bucket).map_or(fit.default, |e| e.1);
+                    format!("{algo:?}")
+                })
+                .collect();
+            out.push_str(&format!("[{}]", row.join(", ")));
+            if !skewed {
+                out.push_str(", ");
+            }
+        }
+        out.push_str("],\n");
+    }
+    out.push_str("];");
+    out
+}
+
+/// `plan-grid`: fit the planner's choice table and judge the shipped one.
+///
+/// Times the four closed cubers through a warm session on every point of a
+/// training grid and of a held-out grid, fits the choice table on the
+/// training grid ([`fit_choice_table`]) and prints it as the `CHOICE`
+/// source of `src/lib.rs`, then reports the regret (chosen ÷ fastest) of
+/// the shipped [`c_cubing::recommend`] and of the retired paper thresholds
+/// on both grids. Writes every point's times (median, n, IQR) to
+/// `BENCH_plan.json`. With `CCUBE_ASSERT_PLAN=1` in the environment the
+/// run fails if the shipped planner's held-out regret geomean exceeds 1.2
+/// or its maximum exceeds 2.0.
+fn plan_grid(opt: &ExpOptions) -> Figure {
+    let time_grid = |points: Vec<PlanPoint>| -> Vec<PlanRun> {
+        points
+            .into_iter()
+            .map(|p| time_plan_point(p, opt.seed))
+            .collect()
+    };
+    let training = time_grid(plan_training_grid(opt));
+    let held_out = time_grid(plan_held_out_grid(opt));
+    let fit = fit_choice_table(&training);
+
+    let shipped = |r: &PlanRun| c_cubing::recommend(&r.stats, r.point.min_sup);
+    let old = |r: &PlanRun| paper_thresholds(&r.stats, r.point.min_sup);
+    let summary = |runs: &[PlanRun], plan: &dyn Fn(&PlanRun) -> Algorithm| {
+        let regrets: Vec<f64> = runs.iter().map(|r| r.regret(plan(r))).collect();
+        (
+            geomean(regrets.iter().copied()),
+            regrets.iter().copied().fold(1.0, f64::max),
+        )
+    };
+    let (held_geo, held_max) = summary(&held_out, &shipped);
+    let (old_held_geo, old_held_max) = summary(&held_out, &old);
+    let (train_geo, train_max) = summary(&training, &shipped);
+    let (old_train_geo, old_train_max) = summary(&training, &old);
+
+    let point_json = |grid: &str, r: &PlanRun| {
+        let p = &r.point;
+        let times: Vec<String> = FULL_CLOSED
+            .iter()
+            .map(|&a| format!("\"{a}\": {}", r.time(a).json()))
+            .collect();
+        format!(
+            "{{\"grid\": \"{grid}\", \"tuples\": {}, \"dims\": {}, \"cardinality\": {}, \
+             \"skew\": {}, \"dependence\": {}, \"min_sup\": {}, \"slice\": {}, \
+             \"measured\": {{\"typical_cardinality\": {}, \"mean_skew\": {:.3}, \
+             \"dependence\": {:.3}}}, \"bucket\": \"{}\", \"times\": {{{}}}, \
+             \"best\": \"{}\", \"chosen\": \"{}\", \"regret\": {:.3}, \
+             \"paper_thresholds\": \"{}\", \"paper_thresholds_regret\": {:.3}}}",
+            p.tuples,
+            p.dims,
+            p.card,
+            p.skew,
+            p.dependence,
+            p.min_sup,
+            p.slice,
+            r.stats.typical_cardinality(),
+            r.stats.mean_skew(),
+            r.stats.dependence,
+            r.bucket(),
+            times.join(", "),
+            r.ranked()[0],
+            shipped(r),
+            r.regret(shipped(r)),
+            old(r),
+            r.regret(old(r)),
+        )
+    };
+    let mut points: Vec<String> = training.iter().map(|r| point_json("train", r)).collect();
+    points.extend(held_out.iter().map(|r| point_json("held-out", r)));
+    let table_json: Vec<String> = fit
+        .table
+        .iter()
+        .map(|(bucket, (n, algo))| {
+            let shipped = training
+                .iter()
+                .find(|r| r.bucket() == *bucket)
+                .map_or(fit.default, shipped);
+            format!(
+                "{{\"bucket\": \"{bucket}\", \"points\": {n}, \"fitted\": \"{algo}\", \
+                 \"shipped\": \"{shipped}\"}}"
+            )
+        })
+        .collect();
+    let wins_json: Vec<String> = fit
+        .clear_wins
+        .iter()
+        .map(|(a, n)| format!("\"{a}\": {n}"))
+        .collect();
+    let json = format!(
+        "{{\n  \"scale\": {}, \"seed\": {}, \"margin\": {PLAN_MARGIN},\n  \
+         \"clear_wins\": {{{}}}, \"default\": \"{}\",\n  \
+         \"held_out\": {{\"points\": {}, \"regret_geomean\": {held_geo:.3}, \
+         \"regret_max\": {held_max:.3}, \"paper_thresholds_regret_geomean\": {old_held_geo:.3}, \
+         \"paper_thresholds_regret_max\": {old_held_max:.3}}},\n  \
+         \"training\": {{\"points\": {}, \"regret_geomean\": {train_geo:.3}, \
+         \"regret_max\": {train_max:.3}, \"paper_thresholds_regret_geomean\": {old_train_geo:.3}, \
+         \"paper_thresholds_regret_max\": {old_train_max:.3}}},\n  \
+         \"table\": [\n    {}\n  ],\n  \"points\": [\n    {}\n  ]\n}}\n",
+        opt.scale,
+        opt.seed,
+        wins_json.join(", "),
+        fit.default,
+        held_out.len(),
+        training.len(),
+        table_json.join(",\n    "),
+        points.join(",\n    "),
+    );
+    let json_note = match std::fs::write("BENCH_plan.json", &json) {
+        Ok(()) => "Per-point times written to BENCH_plan.json.".to_string(),
+        Err(e) => format!("(could not write BENCH_plan.json: {e})"),
+    };
+    if std::env::var_os("CCUBE_ASSERT_PLAN").is_some() {
+        assert!(
+            held_geo <= 1.2 && held_max <= 2.0,
+            "planner regret on the held-out grid: geomean {held_geo:.3} (gate 1.2), \
+             max {held_max:.3} (gate 2.0)"
+        );
+    }
+
+    let mut rows: Vec<(String, Vec<String>)> = fit
+        .table
+        .iter()
+        .map(|(bucket, (n, algo))| {
+            (
+                format!("train {bucket}"),
+                vec![format!("{n} points"), algo.to_string(), "-".into()],
+            )
+        })
+        .collect();
+    rows.extend(held_out.iter().map(|r| {
+        (
+            format!("held-out {}", r.point.label()),
+            vec![
+                r.ranked()[0].to_string(),
+                format!("{} ({:.2}x)", shipped(r), r.regret(shipped(r))),
+                format!("{} ({:.2}x)", old(r), r.regret(old(r))),
+            ],
+        )
+    }));
+    Figure {
+        id: "plan-grid",
+        title: format!(
+            "Measured planner: choice table fit and held-out regret (seed {}, scale {})",
+            opt.seed, opt.scale
+        ),
+        x_label: "Bucket / point".into(),
+        series: vec![
+            "points / fastest".into(),
+            "fitted / shipped planner".into(),
+            "paper thresholds".into(),
+        ],
+        rows,
+        notes: format!(
+            "Regret = chosen cuber's time ÷ fastest closed cuber's. Shipped planner: \
+             held-out geomean {held_geo:.2}x, max {held_max:.2}x (paper thresholds \
+             {old_held_geo:.2}x, {old_held_max:.2}x); training geomean {train_geo:.2}x, \
+             max {train_max:.2}x (paper thresholds {old_train_geo:.2}x, {old_train_max:.2}x). \
+             Clear wins (≥10% and IQRs apart): {}. Fitted table:\n\n```rust\n{}\n```\n\n{json_note}",
+            wins_json.join(", "),
+            choice_table_source(&fit)
+        ),
     }
 }
 
@@ -2026,6 +2572,7 @@ fn ablate_base_order(opt: &ExpOptions) -> Figure {
 /// finishes well inside its time, and the patched materialization serves a
 /// re-query far below even the fastest cold recompute.
 fn ingest_experiment(opt: &ExpOptions) -> Figure {
+    use crate::sample;
     use c_cubing::prelude::*;
     use std::time::Instant;
 
@@ -2052,16 +2599,6 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
         b.build().expect("appended table")
     };
 
-    fn best_of<T>(n: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
-        let mut best = run();
-        for _ in 1..n {
-            let sample = run();
-            if sample.0 < best.0 {
-                best = sample;
-            }
-        }
-        best
-    }
     let timed = |f: &mut dyn FnMut() -> u64| {
         let start = Instant::now();
         let cells = f();
@@ -2080,7 +2617,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
             }
             q.stats().expect("query runs").cells
         };
-        let (cold_secs, cold_cells) = best_of(2, || {
+        let (cold, cold_cells) = sample(2, || {
             // The clone stands in for the caller's re-loaded table; it is
             // not part of the cold rebuild cost.
             let mut fresh = Some(appended.clone());
@@ -2090,7 +2627,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
                 run_query(&mut s)
             })
         });
-        let (delta_secs, delta_cells) = best_of(2, || {
+        let (delta, delta_cells) = sample(2, || {
             // Primed session: artifacts (stats, partition, lazy pool) are
             // hot before the timed ingest + re-query.
             let mut s = CubeSession::new(base.clone()).expect("ordinary table");
@@ -2104,23 +2641,29 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
             cold_cells, delta_cells,
             "{algo}: ingest-then-query != rebuild-then-query"
         );
-        fastest_cold = fastest_cold.min(cold_secs);
+        fastest_cold = fastest_cold.min(cold.median);
         if !algo_json.is_empty() {
             algo_json.push_str(",\n    ");
         }
         algo_json.push_str(&format!(
-            "{{\"algorithm\": \"{algo}\", \"cold_seconds\": {cold_secs:.6}, \
-             \"delta_seconds\": {delta_secs:.6}, \"cells\": {delta_cells}}}"
+            "{{\"algorithm\": \"{algo}\", \"cold\": {}, \"delta\": {}, \
+             \"cells\": {delta_cells}}}",
+            cold.json(),
+            delta.json()
         ));
         algo_rows.push((
             algo.to_string(),
-            vec![secs(cold_secs), secs(delta_secs), delta_cells.to_string()],
+            vec![
+                secs(cold.median),
+                secs(delta.median),
+                delta_cells.to_string(),
+            ],
         ));
     }
 
     // Materialized closed cube: cold build over the final table vs the
     // incremental patch, plus the warm read path it buys.
-    let (build_secs, build_delta) = best_of(2, || {
+    let (build, build_delta) = sample(2, || {
         let mut fresh = Some(appended.clone());
         let mut delta = DeltaStats::default();
         let (elapsed, _) = timed(&mut || {
@@ -2131,7 +2674,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
         });
         (elapsed, delta)
     });
-    let (patch_secs, patch_delta) = best_of(2, || {
+    let (patch, patch_delta) = sample(2, || {
         let mut s = CubeSession::new(base.clone()).expect("ordinary table");
         s.materialize(min_sup).expect("materialize");
         let mut delta = DeltaStats::default();
@@ -2142,7 +2685,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
         });
         (elapsed, delta)
     });
-    let (serve_secs, served_cells) = {
+    let (serve, served_cells) = {
         let mut s = CubeSession::new(base.clone()).expect("ordinary table");
         s.materialize(min_sup).expect("materialize");
         s.ingest(&batch).expect("ingest");
@@ -2161,7 +2704,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
             snapshot(&cold),
             "patched materialization != cold recompute"
         );
-        best_of(3, || {
+        sample(3, || {
             let mut sink = CollectSink::default();
             timed(&mut || {
                 s.query_materialized(min_sup, &mut sink)
@@ -2178,30 +2721,36 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
             build_delta.groups_rechecked
         );
         assert!(
-            patch_secs < build_secs * 0.7,
-            "delta patch ({patch_secs:.3}s) not well under the cold build ({build_secs:.3}s)"
+            patch.median < build.median * 0.7,
+            "delta patch ({:.3}s) not well under the cold build ({:.3}s)",
+            patch.median,
+            build.median
         );
         assert!(
-            serve_secs * 2.0 < fastest_cold,
-            "patched-cube re-query ({serve_secs:.4}s) not ≪ the fastest cold \
-             recompute ({fastest_cold:.4}s)"
+            serve.median * 2.0 < fastest_cold,
+            "patched-cube re-query ({:.4}s) not ≪ the fastest cold \
+             recompute ({fastest_cold:.4}s)",
+            serve.median
         );
     }
 
     let json = format!(
         "{{\n  \"tuples\": {tuples}, \"dims\": {dims}, \"cardinality\": {card}, \"skew\": 1.5, \
          \"min_sup\": {min_sup}, \"batch_rows\": {batch_rows}, \"seed\": {},\n  \
-         \"materialization\": {{\"build_seconds\": {build_secs:.6}, \"patch_seconds\": {patch_secs:.6}, \
+         \"materialization\": {{\"build\": {}, \"patch\": {}, \
          \"build_groups_rechecked\": {}, \"patch_groups_rechecked\": {}, \
          \"patch_cells_added\": {}, \"patch_cells_updated\": {}, \"patch_cells_removed\": {}, \
-         \"serve_seconds\": {serve_secs:.6}, \"served_cells\": {served_cells}}},\n  \
+         \"serve\": {}, \"served_cells\": {served_cells}}},\n  \
          \"algorithms\": [\n    {algo_json}\n  ]\n}}\n",
         opt.seed,
+        build.json(),
+        patch.json(),
         build_delta.groups_rechecked,
         patch_delta.groups_rechecked,
         patch_delta.cells_added,
         patch_delta.cells_updated,
         patch_delta.cells_removed,
+        serve.json(),
     );
     let json_note = match std::fs::write("BENCH_ingest.json", &json) {
         Ok(()) => "Numbers written to BENCH_ingest.json.".to_string(),
@@ -2212,7 +2761,7 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
     rows.push((
         "materialize: cold build".into(),
         vec![
-            secs(build_secs),
+            secs(build.median),
             "-".into(),
             format!("{} groups", build_delta.groups_rechecked),
         ],
@@ -2221,13 +2770,13 @@ fn ingest_experiment(opt: &ExpOptions) -> Figure {
         "materialize: delta patch".into(),
         vec![
             "-".into(),
-            secs(patch_secs),
+            secs(patch.median),
             format!("{} groups", patch_delta.groups_rechecked),
         ],
     ));
     rows.push((
         "materialized re-query".into(),
-        vec!["-".into(), secs(serve_secs), served_cells.to_string()],
+        vec!["-".into(), secs(serve.median), served_cells.to_string()],
     ));
     Figure {
         id: "ingest",
@@ -2276,7 +2825,65 @@ mod tests {
         assert!(ids.contains(&"lifecycle"), "lifecycle missing");
         assert!(ids.contains(&"serve"), "serve missing");
         assert!(ids.contains(&"ingest"), "ingest missing");
-        assert_eq!(ids.len(), 26);
+        assert!(ids.contains(&"plan-grid"), "plan-grid missing");
+        assert_eq!(ids.len(), 27);
+    }
+
+    /// A plan-grid run with the given median times in [`FULL_CLOSED`]
+    /// order (CC(MM), CC(Star), CC(StarArray), QC-DFS), each with a ±2%
+    /// interquartile range.
+    fn plan_run(card: u32, skew: f64, min_sup: u64, medians: [f64; 4]) -> PlanRun {
+        PlanRun {
+            point: PlanPoint {
+                tuples: 1000,
+                dims: 4,
+                card,
+                skew,
+                dependence: 0.0,
+                min_sup,
+                slice: false,
+            },
+            stats: c_cubing::TableStats {
+                tuples: 1000,
+                cardinalities: vec![card; 4],
+                skews: vec![skew; 4],
+                dependence: 0.0,
+            },
+            times: medians.map(|m| crate::Timing::of(&[m * 0.98, m, m * 1.02])),
+        }
+    }
+
+    #[test]
+    fn fit_keeps_the_default_unless_a_candidate_wins_by_the_margin() {
+        let runs = [
+            // QC-DFS wins clearly: it is the grid-wide default.
+            plan_run(10, 0.0, 1, [4.0, 2.0, 2.0, 1.0]),
+            plan_run(100, 0.0, 8, [4.0, 3.0, 2.0, 1.0]),
+            // CC(StarArray) wins this bucket by 2x: the bucket takes it.
+            plan_run(1000, 0.9, 1, [4.0, 3.0, 1.0, 2.0]),
+            // CC(Star) wins this bucket, but only by noise (3%): default.
+            plan_run(10, 0.9, 8, [4.0, 0.97, 1.5, 1.0]),
+            // CC(MM) wins nowhere clearly: not a candidate, even where it
+            // is marginally fastest.
+            plan_run(100, 0.9, 64, [0.99, 3.0, 2.0, 1.0]),
+        ];
+        let fit = fit_choice_table(&runs);
+        assert_eq!(fit.default, Algorithm::QcDfs);
+        let wins: Vec<usize> = fit.clear_wins.iter().map(|(_, n)| *n).collect();
+        assert_eq!(wins, [0, 0, 1, 2]);
+        let pick = |run: &PlanRun| fit.table[&run.bucket()].1;
+        assert_eq!(pick(&runs[0]), Algorithm::QcDfs);
+        assert_eq!(pick(&runs[2]), Algorithm::CCubingStarArray);
+        assert_eq!(pick(&runs[3]), Algorithm::QcDfs);
+        assert_eq!(pick(&runs[4]), Algorithm::QcDfs);
+        let source = choice_table_source(&fit);
+        assert!(source.starts_with("const CHOICE: [[[Algorithm; 3]; 2]; 3] = ["));
+        assert_eq!(source.matches("CCubingStarArray").count(), 1, "{source}");
+        // The shipped and the retired planner both pick closed cubers.
+        for run in &runs {
+            assert!(paper_thresholds(&run.stats, run.point.min_sup).is_closed());
+            assert!(run.regret(c_cubing::recommend(&run.stats, run.point.min_sup)) >= 1.0);
+        }
     }
 
     #[test]

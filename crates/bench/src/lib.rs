@@ -3,8 +3,10 @@
 //! Regenerates **every table and figure** of the C-Cubing paper's evaluation
 //! (Section 5) plus the Section 6.2 rule-compaction numbers. Each experiment
 //! is a function producing a [`report::Figure`]; the `exp` binary prints
-//! them as Markdown tables, and EXPERIMENTS.md archives one full run with
-//! paper-vs-measured commentary.
+//! them as Markdown tables, and the machine-readable experiments write
+//! `BENCH_*.json` files (the checked-in `BENCH_plan.json` holds the planner
+//! grid, with per-point times and the planner's regret; the README says
+//! where each paper claim holds on this implementation).
 //!
 //! The paper ran on a 3.2 GHz Pentium 4 with 1 GB RAM against up to 1M-tuple
 //! datasets; [`ExpOptions::scale`] scales tuple counts (default 0.1 ⇒ 100K
@@ -130,6 +132,83 @@ fn time_engine(
     )
 }
 
+/// Repeated timing samples summarized: median, quartiles and sample count.
+/// Every experiment times through [`sample`], so a number it writes carries
+/// its spread.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Timing {
+    /// Median sample, in seconds.
+    pub median: f64,
+    /// First quartile, in seconds.
+    pub q1: f64,
+    /// Third quartile, in seconds.
+    pub q3: f64,
+    /// Samples taken.
+    pub n: usize,
+}
+
+impl Timing {
+    /// Summarize `samples` (seconds; at least one). Quartiles interpolate
+    /// linearly between order statistics.
+    pub fn of(samples: &[f64]) -> Timing {
+        assert!(!samples.is_empty(), "a timing needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        };
+        Timing {
+            median: at(0.5),
+            q1: at(0.25),
+            q3: at(0.75),
+            n: sorted.len(),
+        }
+    }
+
+    /// Interquartile range, in seconds.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+
+    /// `{"median": s, "n": n, "iqr": s}`, for the `BENCH_*.json` reports.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.6}, \"n\": {}, \"iqr\": {:.6}}}",
+            self.median,
+            self.n,
+            self.iqr()
+        )
+    }
+}
+
+/// The one sampler: run `run` `n` times, each returning its own measured
+/// seconds plus a value, and summarize the seconds. Returns the last
+/// sample's value (callers assert values agree across samples where that
+/// matters).
+pub fn sample<T>(n: usize, mut run: impl FnMut() -> (f64, T)) -> (Timing, T) {
+    assert!(n > 0, "a timing needs at least one sample");
+    let mut secs = Vec::with_capacity(n);
+    let mut last = None;
+    for _ in 0..n {
+        let (s, value) = run();
+        secs.push(s);
+        last = Some(value);
+    }
+    (Timing::of(&secs), last.expect("n > 0"))
+}
+
+/// [`sample`] for a closure timed as a whole.
+pub fn sample_secs(n: usize, mut run: impl FnMut()) -> Timing {
+    sample(n, || {
+        let start = Instant::now();
+        run();
+        (start.elapsed().as_secs_f64(), ())
+    })
+    .0
+}
+
 /// Output size in MB of an algorithm's result (for the cube-size figures).
 pub fn measure_size(algo: Algorithm, table: &Table, min_sup: u64) -> (f64, u64) {
     let mut sink = SizeSink::default();
@@ -148,6 +227,27 @@ mod tests {
         let m = measure(Algorithm::CCubingStar, &t, 2);
         assert!(m.cells > 0);
         assert!(m.seconds >= 0.0);
+    }
+
+    #[test]
+    fn timing_summarizes_median_quartiles_and_count() {
+        let t = Timing::of(&[5.0, 1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((t.median, t.q1, t.q3, t.n), (3.0, 2.0, 4.0, 5));
+        assert_eq!(t.iqr(), 2.0);
+        let even = Timing::of(&[1.0, 2.0]);
+        assert_eq!(even.median, 1.5);
+        let (t, last) = sample(3, {
+            let mut k = 0.0;
+            move || {
+                k += 1.0;
+                (k, k as u32)
+            }
+        });
+        assert_eq!((t.median, t.n, last), (2.0, 3, 3));
+        assert_eq!(
+            t.json(),
+            "{\"median\": 2.000000, \"n\": 3, \"iqr\": 1.000000}"
+        );
     }
 
     #[test]

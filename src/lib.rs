@@ -453,35 +453,106 @@ impl StatsState {
     }
 }
 
+/// A cell of the planner's choice table: the bands that a table's
+/// statistics and an iceberg threshold fall in. Each band edge sits at the
+/// geometric midpoint between two adjacent levels of the `exp -- plan-grid`
+/// training grid — cardinality 10 / 100 / 1000, the measured skew of Zipf 0
+/// and Zipf 1.5 data, and min_sup 1 / 8 / 64 — so every training level lies
+/// mid-band. Tuples, dims and dependence are not keys: on the grid a split
+/// on measured dependence changes no bucket's winner, and splits on tuples
+/// or dims change only skewed low-cardinality buckets, each on four points.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PlanBucket {
+    /// Typical-cardinality band: 0 (≤ 31), 1 (≤ 316) or 2 (larger).
+    pub cardinality: usize,
+    /// Whether the mean skew is at least 0.35.
+    pub skewed: bool,
+    /// Threshold band: 0 (min_sup ≤ 2), 1 (≤ 22) or 2 (larger).
+    pub min_sup: usize,
+}
+
+impl PlanBucket {
+    const CARDINALITY_EDGES: [u32; 2] = [31, 316];
+    const SKEW_EDGE: f64 = 0.35;
+    const MIN_SUP_EDGES: [u64; 2] = [2, 22];
+
+    /// The bucket of `stats` at `min_sup`. Total: empty or degenerate
+    /// statistics land in the lowest bands.
+    pub fn of(stats: &TableStats, min_sup: u64) -> PlanBucket {
+        let card = stats.typical_cardinality();
+        PlanBucket {
+            cardinality: Self::CARDINALITY_EDGES
+                .iter()
+                .filter(|&&e| card > e)
+                .count(),
+            skewed: stats.mean_skew() >= Self::SKEW_EDGE,
+            min_sup: Self::MIN_SUP_EDGES.iter().filter(|&&e| min_sup > e).count(),
+        }
+    }
+}
+
+impl std::fmt::Display for PlanBucket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [c0, c1] = Self::CARDINALITY_EDGES;
+        let [m0, m1] = Self::MIN_SUP_EDGES;
+        let card = match self.cardinality {
+            0 => format!("C≤{c0}"),
+            1 => format!("C≤{c1}"),
+            _ => format!("C>{c1}"),
+        };
+        let skew = if self.skewed { "skewed" } else { "flat" };
+        let min_sup = match self.min_sup {
+            0 => format!("M≤{m0}"),
+            1 => format!("M≤{m1}"),
+            _ => format!("M>{m1}"),
+        };
+        write!(f, "{card} {skew} {min_sup}")
+    }
+}
+
+/// The planner's choice table, `[cardinality][skewed][min_sup]` in
+/// [`PlanBucket`] bands: the measured-fastest closed cuber per bucket, as
+/// fitted and printed by `exp -- plan-grid` (per-point times and the
+/// held-out regret are in `BENCH_plan.json`). A bucket names a cuber other
+/// than QC-DFS, the fastest over the whole grid, only where that cuber was
+/// at least 10% faster over the bucket's training points. CC(MM) never won
+/// a grid point by more than noise and is not a candidate.
+const CHOICE: [[[Algorithm; 3]; 2]; 3] = {
+    use Algorithm::{CCubingStar, CCubingStarArray, QcDfs};
+    [
+        // C≤31: flat, then skewed; each M≤2, M≤22, M>22.
+        [
+            [QcDfs, QcDfs, QcDfs],
+            [CCubingStar, QcDfs, CCubingStarArray],
+        ],
+        // C≤316
+        [[QcDfs, QcDfs, QcDfs], [QcDfs, QcDfs, QcDfs]],
+        // C>316
+        [[QcDfs, QcDfs, QcDfs], [CCubingStarArray, QcDfs, QcDfs]],
+    ]
+};
+
 /// Pick a closed cubing algorithm for measured table statistics and an
-/// iceberg threshold, following the decision surface of Section 5
-/// (Figs 8–15):
+/// iceberg threshold: the measured-fastest closed cuber of the
+/// [`PlanBucket`] they fall in, read from a choice table fitted on the
+/// `exp -- plan-grid` grid (see `BENCH_plan.json` and the README's
+/// "Planner" section).
 ///
-/// * the Star family wins while `min_sup` is low — closed pruning still has
-///   material to prune; the switching point grows with the data dependence
-///   `R` (high dependence keeps closed pruning profitable longer);
-/// * past the switching point, iceberg pruning dominates and `C-Cubing(MM)`
-///   wins;
-/// * within the Star family, low cardinality favours `C-Cubing(Star)`
-///   (multiway aggregation), high cardinality favours `C-Cubing(StarArray)`
-///   (multiway traversal) — the Fig 5 / Fig 10 crossover.
+/// The paper's Fig 15 decision surface — the Star family at low min_sup,
+/// C-Cubing(MM) past a dependence-driven switching point — does not hold
+/// on this implementation: QC-DFS is the fastest closed cuber on most of
+/// the grid, so the table answers QC-DFS except where measurements say
+/// otherwise: at min_sup ≤ 2, CC(StarArray) on skewed high-cardinality
+/// tables and CC(Star) on skewed low-cardinality ones; at min_sup > 22,
+/// CC(StarArray) on skewed low-cardinality tables.
 ///
 /// `stats` is normally [`TableStats::measure`]d from the real table (a
 /// [`CubeSession`] caches it and auto-plans with it), or filled in by hand
-/// for a what-if advisory. The thresholds are
-/// heuristics fitted to our Fig 15 reproduction; see EXPERIMENTS.md.
+/// for a what-if advisory. Total: any statistics, including empty ones,
+/// map to a closed algorithm.
 pub fn recommend(stats: &TableStats, min_sup: u64) -> Algorithm {
-    // Switching point: around min_sup ≈ 16 at R = 0 on 400K rows in the
-    // paper's Fig 15, scaling with dependence and (weakly) with data size.
-    let size_factor = ((stats.tuples.max(1) as f64) / 400_000.0).max(0.1);
-    let switch = 16.0 * (1.0 + stats.dependence * stats.dependence) * size_factor.sqrt();
-    if (min_sup as f64) > switch {
-        Algorithm::CCubingMm
-    } else if stats.typical_cardinality() > 300 {
-        Algorithm::CCubingStarArray
-    } else {
-        Algorithm::CCubingStar
-    }
+    let b = PlanBucket::of(stats, min_sup);
+    CHOICE[b.cardinality][usize::from(b.skewed)][b.min_sup]
 }
 
 #[cfg(test)]
@@ -525,22 +596,63 @@ mod tests {
         assert!("nope".parse::<Algorithm>().is_err());
     }
 
-    #[test]
-    fn recommend_follows_fig15_shape() {
-        let stats = |cardinality: u32, dependence: f64| TableStats {
-            tuples: 400_000,
-            cardinalities: vec![cardinality],
-            skews: vec![0.0],
+    /// Hand-built statistics with the measured summary of a table shape.
+    fn shape(tuples: u64, dims: usize, card: u32, skew: f64, dependence: f64) -> TableStats {
+        TableStats {
+            tuples,
+            cardinalities: vec![card; dims],
+            skews: vec![skew; dims],
             dependence,
-        };
-        // Low min_sup, low cardinality -> CC(Star).
-        assert_eq!(recommend(&stats(20, 0.0), 2), Algorithm::CCubingStar);
-        // Low min_sup, high cardinality -> CC(StarArray).
-        assert_eq!(recommend(&stats(2000, 0.0), 2), Algorithm::CCubingStarArray);
-        // High min_sup, independent data -> CC(MM).
-        assert_eq!(recommend(&stats(20, 0.0), 256), Algorithm::CCubingMm);
-        // Same min_sup but highly dependent data keeps Star ahead.
-        assert_eq!(recommend(&stats(20, 3.0), 64), Algorithm::CCubingStar);
+        }
+    }
+
+    #[test]
+    fn recommend_maps_held_out_benchmark_shapes_to_their_grid_winner() {
+        // Measured summaries of the held-out plan-grid points (BENCH_plan.json)
+        // that share the repository benchmark's table shapes.
+        // Served table: T=10K, D=6, C=40, Zipf 1, at min_sup 4, 8 and 16.
+        let served = shape(10_000, 6, 40, 0.605, 0.266);
+        for m in [4, 8, 16] {
+            assert_eq!(recommend(&served, m), Algorithm::QcDfs, "served M={m}");
+        }
+        // In-process cube table: T=50K, D=8, C=100, Zipf 1, min_sup 1 and 8.
+        let cube = shape(50_000, 8, 100, 0.643, 0.447);
+        for m in [1, 8] {
+            assert_eq!(recommend(&cube, m), Algorithm::QcDfs, "cube M={m}");
+        }
+        // Skewed ingest table: T=100K, D=6, C=1000 (925 observed), Zipf 1.5,
+        // dependent; its full-threshold slice(0, 0) runs CC(StarArray).
+        let ingest = shape(100_000, 6, 925, 0.863, 2.167);
+        assert_eq!(recommend(&ingest, 1), Algorithm::CCubingStarArray);
+    }
+
+    #[test]
+    fn recommend_is_total_and_closed() {
+        let edge = [
+            TableStats {
+                tuples: 0,
+                cardinalities: vec![],
+                skews: vec![],
+                dependence: 0.0,
+            },
+            shape(1, 1, 1, 0.0, 0.0),
+            shape(1_000_000, 1, u32::MAX, f64::NAN, f64::INFINITY),
+            shape(7, 3, 2, 10.0, 4.0),
+        ];
+        for stats in &edge {
+            for m in [0, 1, 2, 3, 22, 23, 1 << 20, u64::MAX] {
+                let algo = recommend(stats, m);
+                assert!(algo.is_closed(), "{algo} for {stats:?} at {m}");
+            }
+        }
+        // Empty statistics land in the lowest bands.
+        let empty = PlanBucket::of(&edge[0], 1);
+        assert_eq!(
+            (empty.cardinality, empty.skewed, empty.min_sup),
+            (0, false, 0)
+        );
+        // Every bucket of the choice table names a closed cuber.
+        assert!(CHOICE.iter().flatten().flatten().all(|a| a.is_closed()));
     }
 
     #[test]

@@ -1262,6 +1262,29 @@ mod tests {
     }
 
     #[test]
+    fn query_plan_agrees_with_recommend() {
+        for (card, skew) in [(6, 0.0), (40, 1.0), (1000, 1.5)] {
+            let table = SyntheticSpec::uniform(2000, 4, card, skew, 3).generate();
+            let mut s = CubeSession::new(table).unwrap();
+            for m in [1, 2, 3, 8, 22, 23, 64, 1 << 20] {
+                let want = s.recommend(m);
+                assert_eq!(
+                    s.query().min_sup(m).plan(),
+                    QueryPlan {
+                        algorithm: want,
+                        closed: true,
+                        parallel: false
+                    },
+                    "C={card} S={skew} M={m}"
+                );
+                let iceberg = s.query().min_sup(m).closed(false).threads(2).plan();
+                assert_eq!(iceberg.algorithm, want.with_closed(false));
+                assert!(iceberg.parallel);
+            }
+        }
+    }
+
+    #[test]
     fn closed_flag_is_orthogonal_to_algorithm() {
         let mut s = session();
         // Iceberg request on an explicitly closed algorithm family.
